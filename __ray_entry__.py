@@ -60,7 +60,7 @@ def entry() -> Any:
     paths = _ocr_corpus_dir(_SF0001, num_docs=12)
     docs = read_docs(paths["docs"])
     media_ref = put_media_store(paths["media"])
-    return ocr_pipeline(docs, media_ref, recognizer_concurrency=(1, 2))
+    return ocr_pipeline(docs, media_ref)
 
 
 def _graph_sql(which: str) -> str:
@@ -115,7 +115,7 @@ def _ocr_spans(sf_dir: str):
     paths = _ocr_corpus_dir(sf_dir, num_docs=8)
     docs = read_docs(paths["docs"])
     media_ref = put_media_store(paths["media"])
-    out = ocr_pipeline(docs, media_ref, recognizer_concurrency=(1, 2)).to_pandas()
+    out = ocr_pipeline(docs, media_ref).to_pandas()
     rows = []
     for _, r in out.iterrows():
         for s in r["spans"]:
@@ -135,7 +135,7 @@ def _hocr(sf_dir: str):
     paths = _ocr_corpus_dir(sf_dir, num_docs=8)
     docs = read_docs(paths["docs"])
     media_ref = put_media_store(paths["media"])
-    out = ocr_hocr(docs, media_ref, recognizer_concurrency=(1, 2)).to_pandas()
+    out = ocr_hocr(docs, media_ref).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -162,7 +162,7 @@ def _gtedit(sf_dir: str):
     paths = _ocr_corpus_dir(sf_dir, num_docs=8)
     docs = read_docs(paths["docs"])
     media_ref = put_media_store(paths["media"])
-    out = ocr_correction_html(docs, media_ref, recognizer_concurrency=(1, 2)).to_pandas()
+    out = ocr_correction_html(docs, media_ref).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -175,7 +175,7 @@ def _debug_html(sf_dir: str):
     paths = _ocr_corpus_dir(sf_dir, num_docs=8)
     docs = read_docs(paths["docs"])
     media_ref = put_media_store(paths["media"])
-    out = ocr_debug_html(docs, media_ref, recognizer_concurrency=(1, 2)).to_pandas()
+    out = ocr_debug_html(docs, media_ref).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -191,8 +191,7 @@ def _llocs(sf_dir: str):
     docs = read_docs(paths["docs"])
     media_ref = put_media_store(paths["media"])
     rec = ocr_recognized_lines(
-        docs, media_ref, recognizer_concurrency=(1, 2),
-        recognizer_kwargs={"keep_llocs": True},
+        docs, media_ref, recognizer_kwargs={"keep_llocs": True},
     ).to_pandas()
     rows = []
     for _, r in rec.iterrows():
@@ -223,8 +222,7 @@ def _alocs(sf_dir: str):
     docs = read_docs(paths["docs"])
     media_ref = put_media_store(paths["media"])
     rec = ocr_recognized_lines(
-        docs, media_ref, recognizer_concurrency=(1, 2),
-        recognizer_kwargs={"keep_png": True},
+        docs, media_ref, recognizer_kwargs={"keep_png": True},
     )
     gt = pq.read_table(paths["groundtruth"]).to_pandas()
     gtd = {

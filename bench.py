@@ -148,11 +148,11 @@ def build_uw3_big_corpus(n_lines: int = 2000) -> str:
 
 def run_uw3_big_leg() -> dict:
     """Steady-state recognition throughput: >= 2000 real-derived lines
-    through the production LineRecognizer actor pool (same pool shape
-    as the OCR flagship's recognize stage)."""
+    through the production task-pool recognizer (the OCR flagship's
+    recognize stage)."""
     import ray.data as rd
 
-    from dup_ocropy_ray.stages.recognize import LineRecognizer
+    from dup_ocropy_ray.stages.recognize import LineRecognizerTask
 
     model = os.path.join(REPO, "dup_ocropy_ray", "models",
                          "uw3_model.npz")
@@ -160,11 +160,8 @@ def run_uw3_big_leg() -> dict:
         int(os.environ.get("GRAFT_UW3_BIG_LINES", "2000")))
     ds = rd.read_parquet(path).repartition(NUM_CPUS)
     t0 = time.time()
-    rec = ds.map_batches(
-        LineRecognizer, fn_constructor_kwargs={"model_path": model},
-        batch_size=32,
-        concurrency=(max(1, NUM_CPUS // 8), max(2, NUM_CPUS // 2)),
-        batch_format="pyarrow")
+    rec = ds.map_batches(LineRecognizerTask(model_path=model),
+                         batch_size=32, batch_format="pyarrow")
     n = rec.count()
     sec = time.time() - t0
     return {"uw3_big_lines": int(n), "uw3_big_sec": round(sec, 3),
@@ -367,24 +364,11 @@ def main():
 
     media_ref = put_media_store(corpus["media"])
     t0 = time.time()
-    out = ocr_pipeline(
-        read_docs(corpus["docs"]),
-        media_ref,
-        recognizer_concurrency=(max(1, NUM_CPUS // 8), max(2, NUM_CPUS // 2)),
-    )
+    out = ocr_pipeline(read_docs(corpus["docs"]), media_ref)
     df = out.to_pandas()
     ocr_sec = time.time() - t0
     pages = int(df["n_pages"].sum())
     lines = int(df["n_lines"].sum())
-
-    # release the OCR dataset before timing queries: its recognizer
-    # actor pool holds logical CPUs until the dataset is GC'd, which
-    # starves the join queries' aggregator-pool startup (measured:
-    # cer_pairs 10.3s with the pool alive vs 4.2s in a fresh session)
-    del out, df
-    import gc
-
-    gc.collect()
 
     import __ray_entry__ as e
 

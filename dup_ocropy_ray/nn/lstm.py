@@ -474,10 +474,10 @@ class BiLSTMRecognizer:
     def use_torch(self, device: str = "cuda") -> None:
         """Switch forward_batch to the torch backend (nn/torch_backend)
         on ``device`` — weights move once, per-batch traffic is
-        activations only. Call from the actor __init__ (the stateful-
-        stage pattern); raises ImportError when torch is absent so a
-        misconfigured GPU pool fails loudly instead of silently running
-        numpy."""
+        activations only. Call once per process, from
+        LineRecognizer.__init__; raises ImportError when torch is absent
+        so a misconfigured GPU run fails loudly instead of silently
+        running numpy."""
         from .torch_backend import TorchBiLSTMForward
 
         self._torch_fwd = TorchBiLSTMForward(self, device)

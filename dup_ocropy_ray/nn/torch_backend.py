@@ -3,11 +3,12 @@
 The numpy forward is the reference implementation (nn/lstm.py
 forward_batch — fused-gate matmuls); this module re-expresses the SAME
 recurrence (peephole LSTM per reference ocrolib/lstm.py LSTM) in torch
-so the recognizer actor pool can run on a GPU when one is scheduled
-(pipelines/ocr.py ``recognizer_num_gpus``). Selected ONCE per actor in
-LineRecognizer.__init__ (the stateful-stage pattern); this sandbox has
-no torch/GPU, so everything here is import-guarded and the parity test
-skips when torch is absent.
+so the recognize tasks can run on a GPU when one is scheduled
+(pipelines/ocr.py ``recognizer_num_gpus``). Selected in
+LineRecognizer.__init__, which runs once per worker process
+(stages/recognize.py ``LineRecognizerTask``); torch is optional,
+so everything here is import-guarded and the parity test skips when
+torch is absent.
 
 Parity contract: forward_batch here must match nn/lstm.py's numpy
 forward_batch to float32 round-off (the test pins max-abs diff) —

@@ -4,18 +4,21 @@ recognize -> reassembled interleaved docs (SURVEY.md §3.4 lifecycle).
 Shape:
 
     docs ──explode media spans──► page rows
-         ──MediaResolver (broadcast store, actor pool)──► +page_png
+         ──_resolve_media_fn (broadcast store, task pool)──► +page_png
          ──binarize_batch  (stateless tasks, B1-B6)──► +bin_png
          ──segment_batch   (stateless tasks, G1-G16)──► +lines
          ──explode_lines   (1 page → N line rows; the skew equalizer)
-         ──LineRecognizer  (actor pool, weights loaded once)──► +text
+         ──LineRecognizerTask (task pool, model built once per worker
+                               process)──► +text
     docs ──spans_to_union_rows──┐
-    page statuses ──────────────┼─► union ── groupby(doc_id).map_groups
+    page statuses ──────────────┼─► union ── groupby(doc_part).map_groups
     recognized lines ───────────┘        └─► reassembled docs + counters
 
-Only small text rows enter the final shuffle; pixel columns are dropped
-at each stage boundary. Skew (multi-page docs) is equalized by the line
-explosion itself plus block repartitioning before the actor pool.
+Every stage runs on the elastic task pool: no CPU is reserved for one
+stage, so any idle CPU picks up whichever stage has work. Only small
+text rows enter the final shuffle; pixel columns are dropped at each
+stage boundary. Skew (multi-page docs) is equalized by the line
+explosion itself.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import ray.data as rd
 
 from ..sources.media import MediaResolver, put_media_store
 from ..stages.binarize import binarize_batch
-from ..stages.recognize import LineRecognizer
+from ..stages.recognize import LineRecognizerTask
 from ..stages.reassemble import (
     lines_to_union_rows,
     reassemble_group,
@@ -120,7 +123,6 @@ def ocr_recognized_lines(
     model_path: str | None = None,
     resolver_concurrency: int | None = None,
     page_concurrency: int | tuple | None = None,
-    recognizer_concurrency: int | tuple = (1, 8),
     recognizer_num_gpus: float = 0.0,
     page_batch_size: int = 1,
     line_batch_size: int = 256,  # big batches fill the length buckets ->
@@ -133,12 +135,11 @@ def ocr_recognized_lines(
     line_order, bbox, text, confidence, rec_status, page_status), with
     page-marker rows (line_order=-1) carrying segmentation statuses.
 
-    resolver/page stages default to ELASTIC TASK POOLS (stateless; any
-    idle CPU picks up page work — no static CPU split between stages);
-    the recognizer is an autoscaling actor pool (weights loaded once per
-    actor) kept UNFUSED from the upstream task stage via
-    ``ray_remote_args_fn`` so page work never serializes into the
-    (smaller, GPU-flippable) recognizer pool.
+    Every stage defaults to an ELASTIC TASK POOL (any idle CPU picks up
+    page or line work — no static CPU split between stages). The
+    recognizer runs as tasks too; each Ray worker process builds the
+    model once and keeps it for later batches and later runs
+    (stages/recognize.py ``LineRecognizerTask``).
 
     ``media_store_ref`` is either a ``ray.ObjectRef`` to a broadcast
     {media_ref: bytes} dict (small-side lookup: put once, read zero-copy
@@ -183,22 +184,19 @@ def ocr_recognized_lines(
             concurrency=page_concurrency,
         )
     # the GPU flip for a cluster with accelerator nodes: num_gpus>0
-    # schedules each recognizer actor onto a GPU slot (weights load once
-    # per actor either way); pair it with recognizer_kwargs=
-    # {"backend": "torch"} to run the forward on the device
-    # (nn/torch_backend, parity-pinned vs the numpy kernel). Kept out
-    # of the remote args entirely at 0 so CPU-only clusters schedule
-    # identically to before.
-    rec_remote: dict = {"num_cpus": 1}
-    if recognizer_num_gpus:
-        rec_remote["num_gpus"] = recognizer_num_gpus
+    # schedules each recognize task onto a GPU slot; pair it with
+    # recognizer_kwargs={"backend": "torch"} to run the forward on the
+    # device (nn/torch_backend, parity-pinned vs the numpy kernel).
+    rec_remote = ({"num_gpus": recognizer_num_gpus} if recognizer_num_gpus
+                  else {})
     return lines.map_batches(
-        LineRecognizer,
-        fn_constructor_kwargs={"model_path": model_path,
-                               **(recognizer_kwargs or {})},
+        LineRecognizerTask(model_path=model_path, **(recognizer_kwargs or {})),
         batch_format="pyarrow",
         batch_size=line_batch_size,
-        concurrency=recognizer_concurrency,
+        # Any ray_remote_args_fn keeps this operator from fusing into
+        # the page operator upstream. Fused, the page tasks would take
+        # line_batch_size-row input bundles, so a small run's pages would
+        # all go to one task on one CPU.
         ray_remote_args_fn=lambda: dict(rec_remote),
     )
 
@@ -228,27 +226,16 @@ def ocr_pipeline(docs: rd.Dataset, media_store_ref, **kw) -> rd.Dataset:
     """Compose the full chain lazily; nothing materializes until consumed.
     One pass over the pixels: page accounting rides the line stream as
     marker rows (explode_lines(page_markers=True))."""
-    import pandas as pd
-
-    from ..stages.reassemble import reassemble_partition
+    from ..stages.reassemble import addpart, reassemble_partition
 
     reassembly_partitions = kw.pop("reassembly_partitions", 32)
     rec = ocr_recognized_lines(docs, media_store_ref, **kw)
     rec_rows = rec.map_batches(lines_to_union_rows, batch_format="pyarrow")
     span_rows = docs.map_batches(spans_to_union_rows, batch_format="pyarrow")
     union = span_rows.union(rec_rows)
-
-    def addpart(b: pd.DataFrame) -> pd.DataFrame:
-        # hash-bucket docs so reassembly runs one UDF call per BUCKET
-        # (pd.util.hash_array is deterministic across processes)
-        b = b.copy()
-        b["doc_part"] = (
-            pd.util.hash_array(b["doc_id"].to_numpy(object))
-            % reassembly_partitions
-        ).astype("int64")
-        return b
-
-    union = union.map_batches(addpart, batch_format="pandas")
+    union = union.map_batches(
+        addpart, fn_kwargs={"num_partitions": reassembly_partitions},
+        batch_format="pyarrow")
     return union.groupby("doc_part").map_groups(
         reassemble_partition, batch_format="pandas"
     )
@@ -273,8 +260,6 @@ def dewarp_line_stats(docs: rd.Dataset, media_store_ref, **kw) -> rd.Dataset:
 
     from ..functions import png as _png
     from ..stages.lineest import normalize_line
-
-    rec = ocr_recognized_lines  # noqa: F841  (doc pointer)
 
     import functools
 

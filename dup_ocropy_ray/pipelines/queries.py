@@ -7189,7 +7189,7 @@ def q_uw3_cer(sf_dir: str) -> pd.DataFrame:
     """Recognizer conformance on the reference's REAL uw3-500 scan
     corpus (reference run-rtrain:5-6): run the HELD-OUT split (never
     trained on; deterministic hash split) through the production
-    LineRecognizer actor pool with the uw3-trained model and report
+    task-pool recognizer with the uw3-trained model and report
     per-line edit distance. Rows-only oracle — the CER gate itself is
     pinned in tests/test_uw3.py. ``sf_dir`` is unused: the input is the
     reference's own fixture tarball."""
@@ -7199,7 +7199,7 @@ def q_uw3_cer(sf_dir: str) -> pd.DataFrame:
     from ..functions.edist import levenshtein
     from ..functions.text import normalize_text
     from ..sources.uw3 import load_uw3_cached, split_uw3
-    from ..stages.recognize import LineRecognizer
+    from ..stages.recognize import LineRecognizerTask
 
     model = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "models", "uw3_model.npz")
@@ -7212,9 +7212,8 @@ def q_uw3_cer(sf_dir: str) -> pd.DataFrame:
                              pa.binary()),
     })
     ds = rd.from_arrow(tbl).repartition(4)
-    rec = ds.map_batches(
-        LineRecognizer, fn_constructor_kwargs={"model_path": model},
-        batch_size=32, concurrency=(1, 4), batch_format="pyarrow")
+    rec = ds.map_batches(LineRecognizerTask(model_path=model),
+                         batch_size=32, batch_format="pyarrow")
 
     def score(b: pd.DataFrame) -> pd.DataFrame:
         dist = [levenshtein(p, g) for p, g in zip(b["text"], b["gt_text"])]
@@ -7234,8 +7233,8 @@ def q_full_charset_cer(sf_dir: str) -> pd.DataFrame:
     (chars.py:7-22: accents + umlauts/ß + symbols + ligature glyphs):
     held-out synthetic lines from the shared charsetgen corpus (a
     seed range disjoint from training AND from the trainer's
-    checkpoint-selection eval) through the production LineRecognizer
-    actor pool with the full-charset model. Ground truth follows the
+    checkpoint-selection eval) through the production task-pool
+    recognizer with the full-charset model. Ground truth follows the
     reference's normalization (ligature glyph ﬁ -> 'fi' etc.), so a
     correct transcription proves the wide-codec round trip. Rows-only
     oracle — the CER gate is pinned in tests/test_charset_model.py.
@@ -7245,7 +7244,7 @@ def q_full_charset_cer(sf_dir: str) -> pd.DataFrame:
     from ..functions import png as _png
     from ..functions.edist import levenshtein
     from ..sources.charsetgen import QUERY_SEED_BASE, gen_lines
-    from ..stages.recognize import LineRecognizer
+    from ..stages.recognize import LineRecognizerTask
 
     model = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "models", "full_charset_model.npz")
@@ -7260,9 +7259,8 @@ def q_full_charset_cer(sf_dir: str) -> pd.DataFrame:
                              pa.binary()),
     })
     ds = rd.from_arrow(tbl).repartition(4)
-    rec = ds.map_batches(
-        LineRecognizer, fn_constructor_kwargs={"model_path": model},
-        batch_size=32, concurrency=(1, 4), batch_format="pyarrow")
+    rec = ds.map_batches(LineRecognizerTask(model_path=model),
+                         batch_size=32, batch_format="pyarrow")
 
     def score(b: pd.DataFrame) -> pd.DataFrame:
         dist = [levenshtein(p, g) for p, g in zip(b["text"], b["gt_text"])]

@@ -13,12 +13,17 @@ generator's.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from ..functions import ttf
 from ..functions.imgops import _bilinear_sample, gaussian_filter
 
 DEJAVU = "/root/reference/tests/DejaVuSans.ttf"
+if not os.path.exists(DEJAVU):
+    # no reference checkout: the system DejaVu package's copy of the face
+    DEJAVU = "/usr/share/fonts/truetype/dejavu/DejaVuSans.ttf"
 
 # (sigma, sigma_jitter, threshold, threshold_jitter) — the reference's
 # lo/med/hi presets (ocropus-linegen:44-66)

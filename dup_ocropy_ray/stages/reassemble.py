@@ -273,6 +273,19 @@ def reassemble_partition(g: pd.DataFrame) -> pa.Table:
         schema=OUT_SCHEMA)
 
 
+def addpart(batch: pa.Table, num_partitions: int) -> pa.Table:
+    """``batch`` plus ``doc_part``, its doc_id hashed into
+    ``num_partitions`` buckets, so that a per-bucket reassembly runs one
+    UDF call per BUCKET rather than one per doc (pd.util.hash_array is
+    deterministic across processes). Arrow in and out: a group-by task
+    that gets no rows emits an empty block in its input's format, and
+    the output blocks must all be Arrow."""
+    h = pd.util.hash_array(
+        batch.column("doc_id").to_numpy(zero_copy_only=False).astype(object))
+    return batch.append_column(
+        "doc_part", pa.array((h % num_partitions).astype("int64")))
+
+
 def map_docs_partitioned(
     rec_lines: "rd.Dataset",
     per_doc,
@@ -284,13 +297,6 @@ def map_docs_partitioned(
     of one call per doc_id (millions of tiny UDF invocations at corpus
     scale). ``per_doc(g) -> pa.Table`` keeps its per-doc signature."""
     import ray.data as rd  # noqa: F401
-
-    def addpart(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["doc_part"] = (
-            pd.util.hash_array(b["doc_id"].to_numpy(object)) % num_partitions
-        ).astype("int64")
-        return b
 
     def per_part(g: pd.DataFrame) -> pa.Table:
         tables = [
@@ -304,7 +310,9 @@ def map_docs_partitioned(
         return pa.concat_tables(tables)
 
     return (
-        rec_lines.map_batches(addpart, batch_format="pandas")
+        rec_lines.map_batches(addpart,
+                              fn_kwargs={"num_partitions": num_partitions},
+                              batch_format="pyarrow")
         .groupby("doc_part")
         .map_groups(per_part, batch_format="pandas")
     )

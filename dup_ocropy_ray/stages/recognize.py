@@ -1,10 +1,12 @@
-"""Line recognition stage — the stateful actor-pool stage.
+"""Line recognition stage.
 
 The reference loads the pickled LSTM once in the parent and forks workers
-(reference ocropus-rpred:119-139); the Ray-native equivalent is an actor
-pool: ``ds.map_batches(LineRecognizer, concurrency=N, batch_size=B)`` with
-the model loaded once in ``__init__`` and batched numpy inference in
-``__call__``.
+(reference ocropus-rpred:119-139); the Ray-native equivalent here is a
+task-pool UDF: ``ds.map_batches(LineRecognizerTask(**kw), batch_size=B)``
+runs on the elastic task pool like the page stage, and each Ray worker
+process builds the ``LineRecognizer`` for ``kw`` (model load included)
+once, on its first batch, then reuses it for every later batch and
+pipeline run. No CPU stays reserved for recognition between batches.
 
 Per line (reference ocropus-rpred:144-266): check_line guards → center
 normalization (R2/R3) → prepare_line (R4) → bidi-LSTM forward (R5-R7) →
@@ -15,6 +17,7 @@ engine's hot path is matmuls, not Python.
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -43,7 +46,9 @@ def _load_model(model_path: str | None):
 
 
 class LineRecognizer:
-    """Actor-pool UDF: line_png -> (text, confidence, rec_status)."""
+    """Batch UDF: line_png -> (text, confidence, rec_status). Loads its
+    model in ``__init__``; pipelines run it through ``LineRecognizerTask``
+    so that happens once per process."""
 
     def __init__(self, model_path: str | None = None, pad: int = 16,
                  nocheck: bool = False, bucket_width: int = 32,
@@ -51,9 +56,10 @@ class LineRecognizer:
                  backend: str = "numpy", device: str = "cuda"):
         self.net = _load_model(model_path)
         if backend == "torch":
-            # once per actor; pairs with ocr.py recognizer_num_gpus
-            # scheduling the pool onto GPUs. ImportError propagates —
-            # a GPU pool silently running numpy would be a config bug.
+            # once per process; pairs with ocr.py recognizer_num_gpus
+            # scheduling the recognize tasks onto GPUs. ImportError
+            # propagates — GPU tasks silently running numpy would be a
+            # config bug.
             self.net.use_torch(device)
         elif backend != "numpy":
             raise ValueError(f"unknown recognizer backend {backend!r}")
@@ -170,6 +176,32 @@ class LineRecognizer:
             )
             out = out.append_column("llocs", pa.array(llocs, lloc_t))
         return out
+
+
+@functools.lru_cache(maxsize=8)
+def _recognizer(kwargs: tuple) -> LineRecognizer:
+    return LineRecognizer(**dict(kwargs))
+
+
+def recognize_batch(batch: pa.Table, **kwargs) -> pa.Table:
+    """``LineRecognizer(**kwargs)(batch)`` with the recognizer built at
+    most once per process for each distinct ``kwargs`` (a small LRU
+    cache, so a worker that serves several models keeps a few). The
+    cached recognizer is shared: inference does not mutate it."""
+    return _recognizer(tuple(sorted(kwargs.items())))(batch)
+
+
+class LineRecognizerTask:
+    """``recognize_batch`` with its kwargs bound, for
+    ``ds.map_batches``. A callable instance rather than a partial so
+    that Ray Data names the operator ``MapBatches(LineRecognizerTask)``,
+    which keeps recognition identifiable in ``Dataset.stats()``."""
+
+    def __init__(self, **kwargs):
+        self.kwargs = kwargs
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        return recognize_batch(batch, **self.kwargs)
 
 
 class AlignedLocs:

@@ -87,12 +87,10 @@ def _register_builtins() -> None:
     from ..pipelines.curate import pii_scrub_stage
     from .binarize import binarize_batch
     from .segment import explode_lines, segment_batch
-
-    from .recognize import LineRecognizer
+    from .recognize import recognize_batch
 
     register_stage("nlbin", batch_format="pyarrow")(binarize_batch)
-    register_stage("rpred", batch_format="pyarrow",
-                   stateful=True)(LineRecognizer)
+    register_stage("rpred", batch_format="pyarrow")(recognize_batch)
     register_stage("gpageseg", batch_format="pyarrow")(segment_batch)
     register_stage("explode-lines", batch_format="pyarrow")(explode_lines)
     register_stage("web-wrap", batch_format="pandas")(wrap_stage)

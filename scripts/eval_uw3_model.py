@@ -2,8 +2,8 @@
 """Canonical region-decode evaluation of a CANDIDATE uw3 model.
 
 Runs the held-out uw3-500 split (same deterministic hash split as
-training and ``q_uw3_cer``) through the production LineRecognizer actor
-pool with an arbitrary ``--model`` path and prints the CER — the number
+training and ``q_uw3_cer``) through the production task-pool recognizer
+with an arbitrary ``--model`` path and prints the CER — the number
 the bench leg / tests gate on. Used to decide whether a freshly trained
 checkpoint should be adopted as ``dup_ocropy_ray/models/uw3_model.npz``.
 
@@ -36,7 +36,7 @@ def main():
     from dup_ocropy_ray.functions.edist import levenshtein
     from dup_ocropy_ray.functions.text import normalize_text
     from dup_ocropy_ray.sources.uw3 import load_uw3_cached, split_uw3
-    from dup_ocropy_ray.stages.recognize import LineRecognizer
+    from dup_ocropy_ray.stages.recognize import LineRecognizerTask
 
     _, test = split_uw3(load_uw3_cached())
     tbl = pa.table({
@@ -47,9 +47,8 @@ def main():
                              pa.binary()),
     })
     ds = rd.from_arrow(tbl).repartition(2)
-    rec = ds.map_batches(
-        LineRecognizer, fn_constructor_kwargs={"model_path": args.model},
-        batch_size=32, concurrency=(1, 2), batch_format="pyarrow")
+    rec = ds.map_batches(LineRecognizerTask(model_path=args.model),
+                         batch_size=32, batch_format="pyarrow")
     out = rec.to_pandas()
     out["dist"] = [levenshtein(p, g) for p, g in zip(out["text"],
                                                      out["gt_text"])]

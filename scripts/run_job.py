@@ -40,8 +40,6 @@ def main() -> None:
     ap.add_argument("--out", required=True, help="output root (fragment dirs + manifests)")
     ap.add_argument("--fragments", type=int, default=16)
     ap.add_argument("--model", default=None)
-    ap.add_argument("--recognizer-min", type=int, default=2)
-    ap.add_argument("--recognizer-max", type=int, default=16)
     ap.add_argument("--target-bytes", type=int, default=128 << 20,
                     help="compact only: target output file size")
     args = ap.parse_args()
@@ -87,7 +85,6 @@ def main() -> None:
             args.out,
             num_fragments=args.fragments,
             model_path=args.model,
-            recognizer_concurrency=(args.recognizer_min, args.recognizer_max),
         )
     print(json.dumps(result))
     ray.shutdown()

@@ -67,10 +67,10 @@ def _model_trained_to_gate() -> bool:
 def test_full_charset_heldout_cer_gate(ray_session):
     """Held-out synthetic lines (QUERY seed stream — disjoint from
     training AND from the trainer's checkpoint-selection eval) through
-    the production actor pool: CER <= 0.04 (recorded cross-stream CER
-    0.0284; arm threshold 0.035 on the trainer's own stream + margin —
-    a regression back to the round-3 interrupted-checkpoint state lands
-    far above this)."""
+    the production task-pool recognizer: CER <= 0.04 (recorded
+    cross-stream CER 0.0284; arm threshold 0.035 on the trainer's own
+    stream + margin — a regression back to the round-3
+    interrupted-checkpoint state lands far above this)."""
     from dup_ocropy_ray.pipelines.queries import q_full_charset_cer
 
     out = q_full_charset_cer("/root/testdata/sf0.001")

@@ -22,7 +22,7 @@ def test_ocr_pipeline_structure(ray_session, corpus):
 
     docs = read_docs(corpus["docs"])
     media_ref = put_media_store(corpus["media"])
-    out = ocr_pipeline(docs, media_ref, recognizer_concurrency=1, resolver_concurrency=1,
+    out = ocr_pipeline(docs, media_ref, resolver_concurrency=1,
                        page_concurrency=1).to_pandas()
     assert len(out) == 6
     byid = out.set_index("doc_id")
@@ -50,12 +50,93 @@ def test_ocr_line_counts_match_groundtruth(ray_session, corpus):
     gt = pq.read_table(corpus["groundtruth"]).to_pandas()
     docs = read_docs(corpus["docs"])
     media_ref = put_media_store(corpus["media"])
-    out = ocr_pipeline(docs, media_ref, recognizer_concurrency=1, resolver_concurrency=1,
+    out = ocr_pipeline(docs, media_ref, resolver_concurrency=1,
                        page_concurrency=1).to_pandas()
     n_gt = gt.groupby("doc_id").size()
     for _, row in out.iterrows():
         want = int(n_gt.get(row["doc_id"], 0))
         assert row["n_lines"] == want, (row["doc_id"], row["n_lines"], want)
+
+
+def _span_seqs(df) -> dict:
+    return {r["doc_id"]: [(s["kind"], s["text"], s["media_ref"], s["offset"])
+                          for s in r["spans"]]
+            for _, r in df.iterrows()}
+
+
+def test_ocr_output_blocks_are_arrow(ray_session, fixture_corpus):
+    """Every output block of the flagship and of the hOCR sink is an
+    Arrow table, including the empty ones that the per-bucket shuffle
+    emits for empty hash buckets (6 docs over 32 buckets), so the blocks
+    concatenate as Arrow. Ray builds an empty block without columns
+    where it never calls the bucket UDF, hence the schema promotion."""
+    import pyarrow as pa
+
+    from dup_ocropy_ray.pipelines.ocr import ocr_hocr, ocr_pipeline, read_docs
+    from dup_ocropy_ray.sources.media import put_media_store
+
+    media_ref = put_media_store(fixture_corpus["media"])
+    for sink in (ocr_pipeline, ocr_hocr):
+        out = sink(read_docs(fixture_corpus["docs"]), media_ref).materialize()
+        blocks = ray.get(out.to_arrow_refs())
+        assert all(isinstance(b, pa.Table) for b in blocks), \
+            (sink.__name__, sorted({type(b).__name__ for b in blocks}))
+        tbl = pa.concat_tables(blocks, promote_options="default")
+        assert tbl.num_rows == out.count() > 0, sink.__name__
+
+
+_ONE_CPU_RUN = """
+import json, sys
+import ray
+ray.init(address="local", num_cpus=1, object_store_memory=200 << 20,
+         include_dashboard=False, logging_level="ERROR")
+try:
+    from dup_ocropy_ray.pipelines.ocr import ocr_pipeline, read_docs
+    from dup_ocropy_ray.sources.media import put_media_store
+    df = ocr_pipeline(read_docs(sys.argv[1]),
+                      put_media_store(sys.argv[2])).to_pandas()
+    print(json.dumps([(r["doc_id"], [dict(s) for s in r["spans"]])
+                      for _, r in df.iterrows()]))
+finally:
+    ray.shutdown()
+"""
+
+
+def test_ocr_pipeline_finishes_on_one_cpu(ray_session, corpus):
+    """With a single Ray CPU no stage may hold the CPU the others need:
+    ocr_pipeline with default arguments finishes in its own 1-CPU Ray
+    session and yields the same span sequence as in the test session."""
+    import json
+    import signal
+    import subprocess
+    import sys
+
+    import pandas as pd
+
+    from dup_ocropy_ray.pipelines.ocr import ocr_pipeline, read_docs
+    from dup_ocropy_ray.sources.media import put_media_store
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=repo)
+    env.pop("RAY_ADDRESS", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_RUN, corpus["docs"],
+         corpus["media"]],
+        cwd=repo, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("ocr_pipeline did not finish within 120 s at num_cpus=1")
+    assert proc.returncode == 0, err[-2000:]
+    one_cpu = pd.DataFrame(json.loads(out.strip().splitlines()[-1]),
+                           columns=["doc_id", "spans"])
+    ref = ocr_pipeline(read_docs(corpus["docs"]),
+                       put_media_store(corpus["media"])).to_pandas()
+    assert len(one_cpu) == 6
+    assert _span_seqs(one_cpu) == _span_seqs(ref)
 
 
 def test_fragment_plan_mode_guards(tmp_path):
@@ -117,7 +198,7 @@ def test_checkpoint_resume(ray_session, corpus, tmp_path):
     out_root = str(tmp_path / "out")
     r1 = run_ocr_with_checkpoint(
         corpus["docs"], corpus["media"], out_root, num_fragments=2,
-        recognizer_concurrency=1, resolver_concurrency=1, page_concurrency=1,
+        resolver_concurrency=1, page_concurrency=1,
     )
     assert sorted(r1["fragments_run"]) == [0, 1]
     assert ckpt.pending_fragments(out_root, 2) == []
@@ -126,7 +207,7 @@ def test_checkpoint_resume(ray_session, corpus, tmp_path):
     # rerun: nothing pending, counters unchanged
     r2 = run_ocr_with_checkpoint(
         corpus["docs"], corpus["media"], out_root, num_fragments=2,
-        recognizer_concurrency=1, resolver_concurrency=1, page_concurrency=1,
+        resolver_concurrency=1, page_concurrency=1,
     )
     assert r2["fragments_run"] == []
     assert r2["counters"] == c
@@ -134,7 +215,7 @@ def test_checkpoint_resume(ray_session, corpus, tmp_path):
     os.remove(os.path.join(out_root, "_manifest", "00001.json"))
     r3 = run_ocr_with_checkpoint(
         corpus["docs"], corpus["media"], out_root, num_fragments=2,
-        recognizer_concurrency=1, resolver_concurrency=1, page_concurrency=1,
+        resolver_concurrency=1, page_concurrency=1,
     )
     assert r3["fragments_run"] == [1]
     assert r3["counters"] == c
@@ -150,7 +231,7 @@ def test_gtedit_roundtrip(ray_session, corpus):
     docs = read_docs(corpus["docs"])
     media_ref = put_media_store(corpus["media"])
     out = ocr_correction_html(
-        docs, media_ref, recognizer_concurrency=1, page_concurrency=1
+        docs, media_ref, page_concurrency=1
     ).to_pandas()
     assert len(out) >= 4  # docs with at least one recognized line
     total = 0
@@ -174,12 +255,11 @@ def test_ocr_pipeline_media_join_mode(ray_session, corpus):
 
     docs = read_docs(corpus["docs"])
     media_ds = rd.read_parquet(corpus["media"])
-    out = ocr_pipeline(docs, media_ds, recognizer_concurrency=1,
-                       page_concurrency=1, media_join_partitions=2).to_pandas()
+    out = ocr_pipeline(docs, media_ds, page_concurrency=1,
+                       media_join_partitions=2).to_pandas()
     # identical doc/page/line accounting as the broadcast path
     bref = put_media_store(corpus["media"])
-    ref = ocr_pipeline(docs, bref, recognizer_concurrency=1,
-                       page_concurrency=1).to_pandas()
+    ref = ocr_pipeline(docs, bref, page_concurrency=1).to_pandas()
     a = out.set_index("doc_id").sort_index()
     b = ref.set_index("doc_id").sort_index()
     assert (a["n_lines"] == b["n_lines"]).all()
@@ -210,7 +290,7 @@ def test_debug_html_sink(ray_session, corpus):
     docs = read_docs(corpus["docs"])
     media_ref = put_media_store(corpus["media"])
     out = ocr_debug_html(
-        docs, media_ref, recognizer_concurrency=1, page_concurrency=1
+        docs, media_ref, page_concurrency=1
     ).to_pandas()
     assert len(out) == 6
     byid = out.set_index("doc_id")["html"]
@@ -235,7 +315,7 @@ def test_masked_page_reading_order_and_text(ray_session, corpus):
     docs = read_docs(corpus["docs"])
     media_ref = put_media_store(corpus["media"])
     rec = ocr_recognized_lines(
-        docs, media_ref, recognizer_concurrency=1, page_concurrency=1
+        docs, media_ref, page_concurrency=1
     ).to_pandas()
     rec = rec[
         rec["media_ref"].str.endswith("page-mask.png") & (rec["line_order"] >= 0)
@@ -260,7 +340,7 @@ def test_hocr_structure(ray_session, corpus):
     docs = read_docs(corpus["docs"])
     media_ref = put_media_store(corpus["media"])
     out = ocr_hocr(
-        docs, media_ref, recognizer_concurrency=1, page_concurrency=1
+        docs, media_ref, page_concurrency=1
     ).to_pandas().set_index("doc_id")
     # skew doc: one ocr_page div per its 3 pages
     h0 = out.loc["doc-000000", "html"]
@@ -291,8 +371,7 @@ def test_poison_pill_media_skips_not_fails(ray_session, corpus, tmp_path):
                      tbl.column("bytes").to_pylist()))
     sref = ray.put(store)
     docs = read_docs(corpus["docs"])
-    out = ocr_pipeline(docs, sref, recognizer_concurrency=1,
-                       page_concurrency=1).to_pandas()
+    out = ocr_pipeline(docs, sref, page_concurrency=1).to_pandas()
     assert len(out) == 6  # no doc dropped
     # exactly one extra skipped page beyond the corpus's small-page skip
     assert int(out["n_skipped_pages"].sum()) == 2
@@ -311,7 +390,7 @@ def test_skewed_page_deskewed_and_read(ray_session, corpus):
     docs = read_docs(corpus["docs"])
     media_ref = put_media_store(corpus["media"])
     rec = ocr_recognized_lines(
-        docs, media_ref, recognizer_concurrency=1, page_concurrency=1
+        docs, media_ref, page_concurrency=1
     ).to_pandas()
     rec = rec[
         rec["media_ref"].str.endswith("page-skewed.png") & (rec["line_order"] >= 0)
@@ -360,8 +439,7 @@ def test_extract_then_ocr_matches_direct_ocr(ray_session, corpus):
 
     docs = read_docs(corpus["docs"])
     media_ref = put_media_store(corpus["media"])
-    kw = dict(recognizer_concurrency=1, resolver_concurrency=1,
-              page_concurrency=1)
+    kw = dict(resolver_concurrency=1, page_concurrency=1)
     direct = ocr_pipeline(docs, media_ref, **kw).to_pandas()
     via_html = extract_then_ocr(
         docs_to_html_docs(read_docs(corpus["docs"])), media_ref, **kw
@@ -542,8 +620,7 @@ def test_run_job_cli_smoke_and_resume(corpus, tmp_path):
     cmd = [sys.executable, os.path.join(repo, "scripts", "run_job.py"),
            "--pipeline", "ocr", "--docs", corpus["docs"],
            "--media", corpus["media"], "--out", out_root,
-           "--fragments", "2", "--recognizer-min", "1",
-           "--recognizer-max", "1"]
+           "--fragments", "2"]
     env = dict(os.environ, RAY_ADDRESS="local")
     r1 = subprocess.run(cmd, capture_output=True, text=True, env=env,
                         timeout=600)

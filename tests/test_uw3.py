@@ -91,7 +91,7 @@ def test_uw3_heldout_cer_gate():
 
 
 def test_uw3_cer_query_pipeline(ray_session):
-    """The distributed uw3_cer query (LineRecognizer actor pool) covers
+    """The distributed uw3_cer query (task-pool recognizer) covers
     every held-out line and its total distance matches the direct net
     within exact equality (same weights, same decode)."""
     from dup_ocropy_ray.functions.edist import levenshtein
