@@ -208,7 +208,7 @@ def _llocs(sf_dir: str):
 def _alocs(sf_dir: str):
     """Gt-ALIGNED per-character locations via CTC forward-backward
     (reference .alocs side output, ocropus-rpred:183-196; rows-only
-    oracle). Gt is a broadcast lookup; alignment runs in an actor pool."""
+    oracle). Gt is a broadcast lookup; alignment runs on the task pool."""
     import pandas as pd
     import pyarrow as pa
     import pyarrow.parquet as pq
@@ -245,7 +245,7 @@ def _alocs(sf_dir: str):
 
     out = (
         rec.map_batches(attach, batch_format="pyarrow")
-        .map_batches(AlignedLocs, batch_format="pyarrow", concurrency=2)
+        .map_batches(AlignedLocs(), batch_format="pyarrow")
         .to_pandas()
     )
     rows = []

@@ -471,24 +471,10 @@ class BiLSTMRecognizer:
         hb = self.bwd.forward(xs[::-1])[::-1]
         return self.out.forward(np.hstack([hf, hb]))
 
-    def use_torch(self, device: str = "cuda") -> None:
-        """Switch forward_batch to the torch backend (nn/torch_backend)
-        on ``device`` — weights move once, per-batch traffic is
-        activations only. Call once per process, from
-        LineRecognizer.__init__; raises ImportError when torch is absent
-        so a misconfigured GPU run fails loudly instead of silently
-        running numpy."""
-        from .torch_backend import TorchBiLSTMForward
-
-        self._torch_fwd = TorchBiLSTMForward(self, device)
-
     def forward_batch(self, xs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """xs: (B, Tmax, Ni) zero-padded; lengths: (B,). Reversal for the
         backward direction respects per-line lengths (padding stays at the
         tail in both directions, harmless for CTC decode when trimmed)."""
-        tf = getattr(self, "_torch_fwd", None)
-        if tf is not None:
-            return tf.forward_batch(xs, lengths)
         B, Tmax, _ = xs.shape
         hf = self.fwd.forward_batch(xs)
         rev = np.zeros_like(xs)

@@ -4,7 +4,8 @@ recognize -> reassembled interleaved docs (SURVEY.md §3.4 lifecycle).
 Shape:
 
     docs ──explode media spans──► page rows
-         ──_resolve_media_fn (broadcast store, task pool)──► +page_png
+         ──_resolve_media_fn (broadcast store, task pool)
+           or resolve_media_join (media Dataset, hash join)──► +page_png
          ──binarize_batch  (stateless tasks, B1-B6)──► +bin_png
          ──segment_batch   (stateless tasks, G1-G16)──► +lines
          ──explode_lines   (1 page → N line rows; the skew equalizer)
@@ -32,16 +33,20 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..sources.media import MediaResolver, put_media_store
+from ..sources.media import put_media_store
 from ..stages.binarize import binarize_batch
 from ..stages.recognize import LineRecognizerTask
-from ..stages.reassemble import (
-    lines_to_union_rows,
-    reassemble_group,
-    spans_to_union_rows,
-)
+from ..stages.reassemble import lines_to_union_rows, spans_to_union_rows
 from ..stages.segment import explode_lines, segment_batch
 from ..state import checkpoint as ckpt
+
+# One page per page task, so multi-page documents fan out over the CPUs.
+PAGE_BATCH_SIZE = 1
+# Big batches fill the recognizer's length buckets -> fewer per-timestep
+# python loops; ~2x less recognizer CPU than 64.
+LINE_BATCH_SIZE = 256
+# Hash buckets of the final reassembly shuffle.
+REASSEMBLY_PARTITIONS = 32
 
 
 def read_docs(path: str) -> rd.Dataset:
@@ -83,18 +88,13 @@ def explode_media_spans(batch: pa.Table) -> pa.Table:
 
 class PageProcessor:
     """Stage fusing binarize (B1-B6) + segment (G1-G16) + line explosion
-    for one page batch. Stateless — runs as an elastic task pool by
-    default (every idle CPU picks up page work); pass an explicit
-    ``page_concurrency`` to pin it to an actor pool instead."""
-
-    def __init__(self, seg_params: dict | None = None, keep_nrm: bool = False):
-        self.seg_params = seg_params or {}
-        self.keep_nrm = keep_nrm
+    for one page batch. Stateless; runs on the elastic task pool, so
+    every idle CPU picks up page work. The normalized page image is not
+    kept: only line crops leave this stage."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        b = binarize_batch(batch, keep_nrm=self.keep_nrm)
-        s = segment_batch(b, **self.seg_params)
-        return explode_lines(s, page_markers=True)
+        b = binarize_batch(batch, keep_nrm=False)
+        return explode_lines(segment_batch(b), page_markers=True)
 
 
 def _resolve_media_fn(batch: pa.Table, store_ref=None) -> pa.Table:
@@ -104,8 +104,8 @@ def _resolve_media_fn(batch: pa.Table, store_ref=None) -> pa.Table:
     store = ray.get(store_ref)
     refs = batch.column("media_ref").to_pylist()
     # .get: a dangling media_ref yields a null page_png, which flows into
-    # binarize_batch's poison-pill handling as a skip-status row (matches
-    # the MediaResolver actor path; skip-don't-fail invariant)
+    # binarize_batch's poison-pill handling as a skip-status row (as on
+    # the join path; skip-don't-fail invariant)
     out = batch.append_column(
         "page_png", pa.array([store.get(r) for r in refs], pa.binary())
     )
@@ -117,29 +117,11 @@ def _resolve_media_fn(batch: pa.Table, store_ref=None) -> pa.Table:
     )
 
 
-def ocr_recognized_lines(
-    docs: rd.Dataset,
-    media_store_ref,
-    model_path: str | None = None,
-    resolver_concurrency: int | None = None,
-    page_concurrency: int | tuple | None = None,
-    recognizer_num_gpus: float = 0.0,
-    page_batch_size: int = 1,
-    line_batch_size: int = 256,  # big batches fill the length buckets ->
-    # fewer per-timestep python loops; ~2x less recognizer CPU than 64
-    seg_params: dict | None = None,
-    recognizer_kwargs: dict | None = None,
-    media_join_partitions: int = 8,
-) -> rd.Dataset:
-    """docs -> recognized line rows (doc_id, media_ref, span_offset,
-    line_order, bbox, text, confidence, rec_status, page_status), with
-    page-marker rows (line_order=-1) carrying segmentation statuses.
-
-    Every stage defaults to an ELASTIC TASK POOL (any idle CPU picks up
-    page or line work — no static CPU split between stages). The
-    recognizer runs as tasks too; each Ray worker process builds the
-    model once and keeps it for later batches and later runs
-    (stages/recognize.py ``LineRecognizerTask``).
+def _page_lines(docs: rd.Dataset, media_store_ref,
+                media_join_partitions: int = 8) -> rd.Dataset:
+    """docs -> page line rows: explode media spans, resolve their bytes,
+    then binarize + segment + explode lines (``PageProcessor``), one page
+    per task. The front half shared by every OCR sink.
 
     ``media_store_ref`` is either a ``ray.ObjectRef`` to a broadcast
     {media_ref: bytes} dict (small-side lookup: put once, read zero-copy
@@ -154,50 +136,43 @@ def ocr_recognized_lines(
 
         pages = resolve_media_join(pages, media_store_ref,
                                    num_partitions=media_join_partitions)
-    elif resolver_concurrency is None:
+    else:
         pages = pages.map_batches(
             functools.partial(_resolve_media_fn, store_ref=media_store_ref),
             batch_format="pyarrow",
-            batch_size=page_batch_size,
+            batch_size=PAGE_BATCH_SIZE,
         )
-    else:
-        pages = pages.map_batches(
-            MediaResolver,
-            fn_constructor_args=(media_store_ref,),
-            batch_format="pyarrow",
-            batch_size=page_batch_size,
-            concurrency=resolver_concurrency,
-        )
-    if page_concurrency is None:
-        proc = PageProcessor(seg_params=seg_params)
-        lines = pages.map_batches(
-            lambda b, _p=proc: _p(b),
-            batch_format="pyarrow",
-            batch_size=page_batch_size,
-        )
-    else:
-        lines = pages.map_batches(
-            PageProcessor,
-            fn_constructor_kwargs={"seg_params": seg_params},
-            batch_format="pyarrow",
-            batch_size=page_batch_size,
-            concurrency=page_concurrency,
-        )
-    # the GPU flip for a cluster with accelerator nodes: num_gpus>0
-    # schedules each recognize task onto a GPU slot; pair it with
-    # recognizer_kwargs={"backend": "torch"} to run the forward on the
-    # device (nn/torch_backend, parity-pinned vs the numpy kernel).
-    rec_remote = ({"num_gpus": recognizer_num_gpus} if recognizer_num_gpus
-                  else {})
+    return pages.map_batches(PageProcessor(), batch_format="pyarrow",
+                             batch_size=PAGE_BATCH_SIZE)
+
+
+def ocr_recognized_lines(
+    docs: rd.Dataset,
+    media_store_ref,
+    model_path: str | None = None,
+    recognizer_kwargs: dict | None = None,
+    media_join_partitions: int = 8,
+) -> rd.Dataset:
+    """docs -> recognized line rows (doc_id, media_ref, span_offset,
+    line_order, bbox, text, confidence, rec_status, page_status), with
+    page-marker rows (line_order=-1) carrying segmentation statuses.
+
+    Every stage runs on the ELASTIC TASK POOL (any idle CPU picks up
+    page or line work — no static CPU split between stages). Each Ray
+    worker process builds the recognizer model once and keeps it for
+    later batches and later runs (stages/recognize.py
+    ``LineRecognizerTask``). ``media_store_ref`` is a broadcast ref or a
+    media Dataset (see ``_page_lines``)."""
+    lines = _page_lines(docs, media_store_ref, media_join_partitions)
     return lines.map_batches(
         LineRecognizerTask(model_path=model_path, **(recognizer_kwargs or {})),
         batch_format="pyarrow",
-        batch_size=line_batch_size,
+        batch_size=LINE_BATCH_SIZE,
         # Any ray_remote_args_fn keeps this operator from fusing into
         # the page operator upstream. Fused, the page tasks would take
-        # line_batch_size-row input bundles, so a small run's pages would
+        # LINE_BATCH_SIZE-row input bundles, so a small run's pages would
         # all go to one task on one CPU.
-        ray_remote_args_fn=lambda: dict(rec_remote),
+        ray_remote_args_fn=lambda: {},
     )
 
 
@@ -228,13 +203,12 @@ def ocr_pipeline(docs: rd.Dataset, media_store_ref, **kw) -> rd.Dataset:
     marker rows (explode_lines(page_markers=True))."""
     from ..stages.reassemble import addpart, reassemble_partition
 
-    reassembly_partitions = kw.pop("reassembly_partitions", 32)
     rec = ocr_recognized_lines(docs, media_store_ref, **kw)
     rec_rows = rec.map_batches(lines_to_union_rows, batch_format="pyarrow")
     span_rows = docs.map_batches(spans_to_union_rows, batch_format="pyarrow")
     union = span_rows.union(rec_rows)
     union = union.map_batches(
-        addpart, fn_kwargs={"num_partitions": reassembly_partitions},
+        addpart, fn_kwargs={"num_partitions": REASSEMBLY_PARTITIONS},
         batch_format="pyarrow")
     return union.groupby("doc_part").map_groups(
         reassemble_partition, batch_format="pandas"
@@ -252,27 +226,17 @@ def ocr_hocr(docs: rd.Dataset, media_store_ref, **kw) -> rd.Dataset:
     return hocr_from_lines(rec)
 
 
-def dewarp_line_stats(docs: rd.Dataset, media_store_ref, **kw) -> rd.Dataset:
+def dewarp_line_stats(docs: rd.Dataset, media_store_ref,
+                      media_join_partitions: int = 8) -> rd.Dataset:
     """Standalone dewarp tool (reference ocropus-dewarp:42-53, R13):
     segment pages, center-normalize each line, return the dewarped
-    geometry (doc_id, media_ref, line_order, dw_h, dw_w, ink_frac)."""
-    import numpy as np
-
+    geometry (doc_id, media_ref, line_order, dw_h, dw_w, ink_frac).
+    ``media_store_ref`` and ``media_join_partitions`` as for
+    ``ocr_recognized_lines``."""
     from ..functions import png as _png
     from ..stages.lineest import normalize_line
 
-    import functools
-
-    pages = docs.map_batches(explode_media_spans, batch_format="pyarrow")
-    pages = pages.map_batches(
-        functools.partial(_resolve_media_fn, store_ref=media_store_ref),
-        batch_format="pyarrow",
-        batch_size=1,
-    )
-    proc = PageProcessor(seg_params=kw.get("seg_params"))
-    lines = pages.map_batches(
-        lambda b, _p=proc: _p(b), batch_format="pyarrow", batch_size=1
-    )
+    lines = _page_lines(docs, media_store_ref, media_join_partitions)
 
     def dewarp(batch: pa.Table) -> pa.Table:
         rows = {k: [] for k in

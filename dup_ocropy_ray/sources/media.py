@@ -32,25 +32,6 @@ def put_media_store(path: str) -> "ray.ObjectRef":
     return ray.put(store)
 
 
-class MediaResolver:
-    """Actor-pool UDF: media_ref -> page_png via the broadcast store.
-    The ray.get in __init__ is once per actor and zero-copy."""
-
-    def __init__(self, store_ref):
-        self.store = ray.get(store_ref)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        refs = batch.column("media_ref").to_pylist()
-        blobs = [self.store.get(r) for r in refs]
-        out = batch.append_column("page_png", pa.array(blobs, pa.binary()))
-        # G7: sibling "<ref>.mask" = user separator mask (reference
-        # ocropus-gpageseg:268-276); null where absent
-        return out.append_column(
-            "mask_png",
-            pa.array([self.store.get(r + ".mask") for r in refs], pa.binary()),
-        )
-
-
 def _media_split_blobs(t: pa.Table) -> pa.Table:
     """media (media_ref, bytes) -> (media_ref, page_png) for base entries."""
     import pyarrow.compute as pc

@@ -1,1 +1,1 @@
-"""Ray Data stage UDFs (stateless map_batches fns + actor-pool classes)."""
+"""Ray Data stage UDFs (map_batches functions and callable classes)."""

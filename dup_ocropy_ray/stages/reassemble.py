@@ -112,88 +112,6 @@ def lines_to_union_rows(batch: pa.Table) -> pa.Table:
     )
 
 
-def page_status_union_rows(batch: pa.Table) -> pa.Table:
-    """Page rows (post-segmentation) -> page-status union rows so skip
-    accounting reconciles (rows in == rows out + skips)."""
-    rows = []
-    for i in range(batch.num_rows):
-        st = batch.column("seg_status")[i].as_py()
-        rows.append(
-            {
-                "doc_id": batch.column("doc_id")[i].as_py(),
-                "rowtype": "page",
-                "kind": "media",
-                "text": None,
-                "media_ref": batch.column("media_ref")[i].as_py(),
-                "span_offset": batch.column("span_offset")[i].as_py(),
-                "line_order": -1,
-                "status": st,
-                "confidence": 1.0,
-            }
-        )
-    return pa.Table.from_pylist(rows, schema=UNION_SCHEMA)
-
-
-def reassemble_group(g: pd.DataFrame) -> pa.Table:
-    """Per-doc reassembly (runs inside groupby(doc_id).map_groups)."""
-    doc_id = g["doc_id"].iloc[0]
-    spans = g[g.rowtype == "span"].sort_values("span_offset")
-    lines = g[g.rowtype == "line"]
-    pages = g[g.rowtype == "page"]
-    page_status = dict(zip(pages["span_offset"], pages["status"]))
-    out = []
-    n_lines = 0
-    chars = 0
-    low_conf = 0
-    n_pages = 0
-    n_skipped = 0
-    for _, s in spans.iterrows():
-        out.append(
-            {
-                "kind": s["kind"],
-                "text": s["text"],
-                "media_ref": s["media_ref"],
-                "offset": len(out),
-            }
-        )
-        if s["kind"] == "media":
-            n_pages += 1
-            if page_status.get(s["span_offset"], "ok") != "ok":
-                n_skipped += 1
-            mine = lines[lines.span_offset == s["span_offset"]].sort_values(
-                "line_order"
-            )
-            for _, l in mine.iterrows():
-                if l["status"] != "ok":
-                    continue
-                out.append(
-                    {
-                        "kind": "text",
-                        "text": l["text"],
-                        "media_ref": None,
-                        "offset": len(out),
-                    }
-                )
-                n_lines += 1
-                chars += len(l["text"] or "")
-                if l["confidence"] < 0.6:
-                    low_conf += 1
-    return pa.Table.from_pylist(
-        [
-            {
-                "doc_id": doc_id,
-                "spans": out,
-                "n_pages": n_pages,
-                "n_lines": n_lines,
-                "n_skipped_pages": n_skipped,
-                "chars_decoded": chars,
-                "low_confidence_lines": low_conf,
-            }
-        ],
-        schema=OUT_SCHEMA,
-    )
-
-
 def reassemble_partition(g: pd.DataFrame) -> pa.Table:
     """Partition-level reassembly, fully vectorized: one UDF call handles
     ALL docs hashed into this bucket with no per-row Python. The
@@ -201,9 +119,10 @@ def reassemble_partition(g: pd.DataFrame) -> pa.Table:
     rows carry rank -1, ok line rows rank = line_order, so each page's
     lines land right after their media span; offsets renumber via
     cumcount; the list column builds zero-copy from group sizes
-    (ListArray.from_arrays). Semantically identical to
-    ``reassemble_group`` (kept as the readable single-doc spec +
-    parity-test target)."""
+    (ListArray.from_arrays). Per doc: the original spans in offset
+    order, each media span followed by its page's ok lines in
+    line_order; a page counts as skipped when its status row is not
+    ok, a line as low-confidence below 0.6."""
     import numpy as np
 
     docs = np.sort(g["doc_id"].unique().astype(object))

@@ -4,9 +4,10 @@ The reference loads the pickled LSTM once in the parent and forks workers
 (reference ocropus-rpred:119-139); the Ray-native equivalent here is a
 task-pool UDF: ``ds.map_batches(LineRecognizerTask(**kw), batch_size=B)``
 runs on the elastic task pool like the page stage, and each Ray worker
-process builds the ``LineRecognizer`` for ``kw`` (model load included)
-once, on its first batch, then reuses it for every later batch and
-pipeline run. No CPU stays reserved for recognition between batches.
+process loads a model once, on its first batch, then reuses it for every
+later batch and pipeline run (``_load_model`` is a per-process cache,
+shared with the ``AlignedLocs`` stage). No CPU stays reserved for
+recognition between batches.
 
 Per line (reference ocropus-rpred:144-266): check_line guards → center
 normalization (R2/R3) → prepare_line (R4) → bidi-LSTM forward (R5-R7) →
@@ -34,9 +35,12 @@ DEFAULT_MODEL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__f
 LOW_CONFIDENCE = 0.6
 
 
-def _load_model(model_path: str | None):
+@functools.lru_cache(maxsize=8)
+def _load_model(model_path: str | None) -> BiLSTMRecognizer:
     """npz (native) or legacy reference .pyrnn(.gz) (ocropus-rpred:119-131
-    load path via nn/pyrnn.py importer)."""
+    load path via nn/pyrnn.py importer), loaded at most once per process
+    for each path. The loaded net is shared: inference does not mutate
+    it."""
     mp = str(model_path or DEFAULT_MODEL)
     if mp.endswith((".pyrnn", ".pyrnn.gz")):
         from ..nn.pyrnn import load_pyrnn
@@ -46,23 +50,13 @@ def _load_model(model_path: str | None):
 
 
 class LineRecognizer:
-    """Batch UDF: line_png -> (text, confidence, rec_status). Loads its
-    model in ``__init__``; pipelines run it through ``LineRecognizerTask``
-    so that happens once per process."""
+    """Batch UDF: line_png -> (text, confidence, rec_status). Takes its
+    model from the per-process cache (``_load_model``)."""
 
     def __init__(self, model_path: str | None = None, pad: int = 16,
                  nocheck: bool = False, bucket_width: int = 32,
-                 keep_png: bool = False, keep_llocs: bool = False,
-                 backend: str = "numpy", device: str = "cuda"):
+                 keep_png: bool = False, keep_llocs: bool = False):
         self.net = _load_model(model_path)
-        if backend == "torch":
-            # once per process; pairs with ocr.py recognizer_num_gpus
-            # scheduling the recognize tasks onto GPUs. ImportError
-            # propagates — GPU tasks silently running numpy would be a
-            # config bug.
-            self.net.use_torch(device)
-        elif backend != "numpy":
-            raise ValueError(f"unknown recognizer backend {backend!r}")
         self.pad = pad
         self.nocheck = nocheck
         self.bucket_width = bucket_width
@@ -178,17 +172,11 @@ class LineRecognizer:
         return out
 
 
-@functools.lru_cache(maxsize=8)
-def _recognizer(kwargs: tuple) -> LineRecognizer:
-    return LineRecognizer(**dict(kwargs))
-
-
 def recognize_batch(batch: pa.Table, **kwargs) -> pa.Table:
-    """``LineRecognizer(**kwargs)(batch)`` with the recognizer built at
-    most once per process for each distinct ``kwargs`` (a small LRU
-    cache, so a worker that serves several models keeps a few). The
-    cached recognizer is shared: inference does not mutate it."""
-    return _recognizer(tuple(sorted(kwargs.items())))(batch)
+    """``LineRecognizer(**kwargs)(batch)``; the model behind it is loaded
+    at most once per process (``_load_model``), so a worker that serves
+    several models keeps a few."""
+    return LineRecognizer(**kwargs)(batch)
 
 
 class LineRecognizerTask:
@@ -205,19 +193,22 @@ class LineRecognizerTask:
 
 
 class AlignedLocs:
-    """Actor-pool UDF for the reference's ``.alocs`` side output
+    """Task-pool UDF for the reference's ``.alocs`` side output
     (ocropus-rpred:183-196): per-char locations from the CTC
     forward-backward ALIGNMENT of the network outputs to the ground-truth
     transcript, rather than from the free decode. Consumes line rows that
-    carry ``line_png`` + ``gt_text``; emits an ``alocs`` list column."""
+    carry ``line_png`` + ``gt_text``; emits an ``alocs`` list column.
+    Pass an instance to ``ds.map_batches``; like ``LineRecognizerTask``
+    it takes the model from the per-process cache on its first batch."""
 
     def __init__(self, model_path: str | None = None, pad: int = 16):
-        self.net = _load_model(model_path)
+        self.model_path = model_path
         self.pad = pad
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..nn.lstm import ctc_align_targets
 
+        net = _load_model(self.model_path)
         pngs = batch.column("line_png").to_pylist()
         gts = batch.column("gt_text").to_pylist()
         out_locs: list[list | None] = []
@@ -234,15 +225,15 @@ class AlignedLocs:
                     gray = gray[:, ink[0] : ink[-1] + 1]
                 raw_w = gray.shape[1]
                 xs = prepare_line(normalize_line(gray), self.pad)
-                y = self.net.forward(xs)
-                codes = self.net.codec.encode(gt)
+                y = net.forward(xs)
+                codes = net.codec.encode(gt)
                 aligned = ctc_align_targets(y, codes)
                 pos = translate_back(aligned, pos=1)
                 sc = raw_w / max(1, len(y) - 2 * self.pad)
                 out_locs.append(
                     [
                         {
-                            "ch": self.net.codec.decode([c]),
+                            "ch": net.codec.decode([c]),
                             "x": round(float((t - self.pad) * sc), 1),
                         }
                         for t, c in pos

@@ -22,8 +22,7 @@ def test_ocr_pipeline_structure(ray_session, corpus):
 
     docs = read_docs(corpus["docs"])
     media_ref = put_media_store(corpus["media"])
-    out = ocr_pipeline(docs, media_ref, resolver_concurrency=1,
-                       page_concurrency=1).to_pandas()
+    out = ocr_pipeline(docs, media_ref).to_pandas()
     assert len(out) == 6
     byid = out.set_index("doc_id")
     # skew doc fans out to 3 pages
@@ -50,8 +49,7 @@ def test_ocr_line_counts_match_groundtruth(ray_session, corpus):
     gt = pq.read_table(corpus["groundtruth"]).to_pandas()
     docs = read_docs(corpus["docs"])
     media_ref = put_media_store(corpus["media"])
-    out = ocr_pipeline(docs, media_ref, resolver_concurrency=1,
-                       page_concurrency=1).to_pandas()
+    out = ocr_pipeline(docs, media_ref).to_pandas()
     n_gt = gt.groupby("doc_id").size()
     for _, row in out.iterrows():
         want = int(n_gt.get(row["doc_id"], 0))
@@ -198,7 +196,6 @@ def test_checkpoint_resume(ray_session, corpus, tmp_path):
     out_root = str(tmp_path / "out")
     r1 = run_ocr_with_checkpoint(
         corpus["docs"], corpus["media"], out_root, num_fragments=2,
-        resolver_concurrency=1, page_concurrency=1,
     )
     assert sorted(r1["fragments_run"]) == [0, 1]
     assert ckpt.pending_fragments(out_root, 2) == []
@@ -207,7 +204,6 @@ def test_checkpoint_resume(ray_session, corpus, tmp_path):
     # rerun: nothing pending, counters unchanged
     r2 = run_ocr_with_checkpoint(
         corpus["docs"], corpus["media"], out_root, num_fragments=2,
-        resolver_concurrency=1, page_concurrency=1,
     )
     assert r2["fragments_run"] == []
     assert r2["counters"] == c
@@ -215,7 +211,6 @@ def test_checkpoint_resume(ray_session, corpus, tmp_path):
     os.remove(os.path.join(out_root, "_manifest", "00001.json"))
     r3 = run_ocr_with_checkpoint(
         corpus["docs"], corpus["media"], out_root, num_fragments=2,
-        resolver_concurrency=1, page_concurrency=1,
     )
     assert r3["fragments_run"] == [1]
     assert r3["counters"] == c
@@ -230,9 +225,7 @@ def test_gtedit_roundtrip(ray_session, corpus):
 
     docs = read_docs(corpus["docs"])
     media_ref = put_media_store(corpus["media"])
-    out = ocr_correction_html(
-        docs, media_ref, page_concurrency=1
-    ).to_pandas()
+    out = ocr_correction_html(docs, media_ref).to_pandas()
     assert len(out) >= 4  # docs with at least one recognized line
     total = 0
     for _, row in out.iterrows():
@@ -255,15 +248,36 @@ def test_ocr_pipeline_media_join_mode(ray_session, corpus):
 
     docs = read_docs(corpus["docs"])
     media_ds = rd.read_parquet(corpus["media"])
-    out = ocr_pipeline(docs, media_ds, page_concurrency=1,
-                       media_join_partitions=2).to_pandas()
+    out = ocr_pipeline(docs, media_ds, media_join_partitions=2).to_pandas()
     # identical doc/page/line accounting as the broadcast path
     bref = put_media_store(corpus["media"])
-    ref = ocr_pipeline(docs, bref, page_concurrency=1).to_pandas()
+    ref = ocr_pipeline(docs, bref).to_pandas()
     a = out.set_index("doc_id").sort_index()
     b = ref.set_index("doc_id").sort_index()
     assert (a["n_lines"] == b["n_lines"]).all()
     assert (a["n_pages"] == b["n_pages"]).all()
+
+
+def test_dewarp_line_stats_media_join(ray_session, corpus):
+    """The dewarp tool shares the OCR front half, so a media Dataset
+    (hash-join resolution) gives the same line geometry as the
+    broadcast store."""
+    import pandas as pd
+    import ray.data as rd
+
+    from dup_ocropy_ray.pipelines.ocr import dewarp_line_stats, read_docs
+    from dup_ocropy_ray.sources.media import put_media_store
+
+    def run(media):
+        out = dewarp_line_stats(read_docs(corpus["docs"]), media,
+                                media_join_partitions=2).to_pandas()
+        return out.sort_values(["doc_id", "media_ref", "line_order"]) \
+            .reset_index(drop=True)
+
+    via_join = run(rd.read_parquet(corpus["media"]))
+    via_broadcast = run(put_media_store(corpus["media"]))
+    assert len(via_broadcast) > 0
+    pd.testing.assert_frame_equal(via_join, via_broadcast)
 
 
 def test_media_join_path(ray_session, corpus):
@@ -289,9 +303,7 @@ def test_debug_html_sink(ray_session, corpus):
 
     docs = read_docs(corpus["docs"])
     media_ref = put_media_store(corpus["media"])
-    out = ocr_debug_html(
-        docs, media_ref, page_concurrency=1
-    ).to_pandas()
+    out = ocr_debug_html(docs, media_ref).to_pandas()
     assert len(out) == 6
     byid = out.set_index("doc_id")["html"]
     h = byid["doc-000001"]
@@ -314,9 +326,7 @@ def test_masked_page_reading_order_and_text(ray_session, corpus):
     assert len(gt) == 6
     docs = read_docs(corpus["docs"])
     media_ref = put_media_store(corpus["media"])
-    rec = ocr_recognized_lines(
-        docs, media_ref, page_concurrency=1
-    ).to_pandas()
+    rec = ocr_recognized_lines(docs, media_ref).to_pandas()
     rec = rec[
         rec["media_ref"].str.endswith("page-mask.png") & (rec["line_order"] >= 0)
     ].sort_values("line_order")
@@ -339,9 +349,7 @@ def test_hocr_structure(ray_session, corpus):
     gt = pq.read_table(corpus["groundtruth"]).to_pandas()
     docs = read_docs(corpus["docs"])
     media_ref = put_media_store(corpus["media"])
-    out = ocr_hocr(
-        docs, media_ref, page_concurrency=1
-    ).to_pandas().set_index("doc_id")
+    out = ocr_hocr(docs, media_ref).to_pandas().set_index("doc_id")
     # skew doc: one ocr_page div per its 3 pages
     h0 = out.loc["doc-000000", "html"]
     assert h0.count("class='ocr_page'") == 3
@@ -371,7 +379,7 @@ def test_poison_pill_media_skips_not_fails(ray_session, corpus, tmp_path):
                      tbl.column("bytes").to_pylist()))
     sref = ray.put(store)
     docs = read_docs(corpus["docs"])
-    out = ocr_pipeline(docs, sref, page_concurrency=1).to_pandas()
+    out = ocr_pipeline(docs, sref).to_pandas()
     assert len(out) == 6  # no doc dropped
     # exactly one extra skipped page beyond the corpus's small-page skip
     assert int(out["n_skipped_pages"].sum()) == 2
@@ -389,9 +397,7 @@ def test_skewed_page_deskewed_and_read(ray_session, corpus):
     assert len(gt) == 4
     docs = read_docs(corpus["docs"])
     media_ref = put_media_store(corpus["media"])
-    rec = ocr_recognized_lines(
-        docs, media_ref, page_concurrency=1
-    ).to_pandas()
+    rec = ocr_recognized_lines(docs, media_ref).to_pandas()
     rec = rec[
         rec["media_ref"].str.endswith("page-skewed.png") & (rec["line_order"] >= 0)
     ].sort_values("line_order")
@@ -439,10 +445,9 @@ def test_extract_then_ocr_matches_direct_ocr(ray_session, corpus):
 
     docs = read_docs(corpus["docs"])
     media_ref = put_media_store(corpus["media"])
-    kw = dict(resolver_concurrency=1, page_concurrency=1)
-    direct = ocr_pipeline(docs, media_ref, **kw).to_pandas()
+    direct = ocr_pipeline(docs, media_ref).to_pandas()
     via_html = extract_then_ocr(
-        docs_to_html_docs(read_docs(corpus["docs"])), media_ref, **kw
+        docs_to_html_docs(read_docs(corpus["docs"])), media_ref
     ).to_pandas()
 
     d = direct.set_index("doc_id").sort_index()

@@ -346,6 +346,72 @@ def test_read_docs_jsonl(ray_session, tmp_path):
     assert len(got) == 7 and got["text"].iloc[3] == "line 3"
 
 
+def reassemble_group(g):
+    """Serial per-doc reassembly spec: the doc's spans in offset order,
+    each media span followed by its page's ok lines in line_order, with
+    the doc's counters."""
+    import pyarrow as pa
+
+    from dup_ocropy_ray.stages.reassemble import OUT_SCHEMA
+
+    doc_id = g["doc_id"].iloc[0]
+    spans = g[g.rowtype == "span"].sort_values("span_offset")
+    lines = g[g.rowtype == "line"]
+    pages = g[g.rowtype == "page"]
+    page_status = dict(zip(pages["span_offset"], pages["status"]))
+    out = []
+    n_lines = 0
+    chars = 0
+    low_conf = 0
+    n_pages = 0
+    n_skipped = 0
+    for _, s in spans.iterrows():
+        out.append(
+            {
+                "kind": s["kind"],
+                "text": s["text"],
+                "media_ref": s["media_ref"],
+                "offset": len(out),
+            }
+        )
+        if s["kind"] == "media":
+            n_pages += 1
+            if page_status.get(s["span_offset"], "ok") != "ok":
+                n_skipped += 1
+            mine = lines[lines.span_offset == s["span_offset"]].sort_values(
+                "line_order"
+            )
+            for _, l in mine.iterrows():
+                if l["status"] != "ok":
+                    continue
+                out.append(
+                    {
+                        "kind": "text",
+                        "text": l["text"],
+                        "media_ref": None,
+                        "offset": len(out),
+                    }
+                )
+                n_lines += 1
+                chars += len(l["text"] or "")
+                if l["confidence"] < 0.6:
+                    low_conf += 1
+    return pa.Table.from_pylist(
+        [
+            {
+                "doc_id": doc_id,
+                "spans": out,
+                "n_pages": n_pages,
+                "n_lines": n_lines,
+                "n_skipped_pages": n_skipped,
+                "chars_decoded": chars,
+                "low_confidence_lines": low_conf,
+            }
+        ],
+        schema=OUT_SCHEMA,
+    )
+
+
 def test_reassemble_partition_matches_group_spec():
     """Vectorized partition reassembly == per-doc reference spec
     (reassemble_group) on a frame exercising every edge: skipped pages,
@@ -355,7 +421,6 @@ def test_reassemble_partition_matches_group_spec():
 
     from dup_ocropy_ray.stages.reassemble import (
         OUT_SCHEMA,
-        reassemble_group,
         reassemble_partition,
     )
 
