@@ -111,10 +111,12 @@ def rotate_rowmeans(
     sharing one coordinate grid across the sweep and never materializing
     the rotated pages (the skew sweep only scores row-mean variance —
     ocropus-nlbin:71-81). Bit-equal to rotating then ``.mean(axis=1)``:
-    ``np.where(inside, vals, cval)`` builds the identical array the
-    rotate path fills."""
+    one gather from the raveled page plus a trailing ``cval`` slot, which
+    every outside pixel indexes, builds the identical array the rotate
+    path fills."""
     a = _f(a)
     h, w = a.shape
+    flat = np.append(a.ravel(), FLOAT(cval))
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     yv = np.arange(h) - cy
     xv = np.arange(w) - cx
@@ -128,9 +130,9 @@ def rotate_rowmeans(
         sy = (c * yv)[:, None] - (s * xv)[None, :] + cy
         sx = (s * yv)[:, None] + (c * xv)[None, :] + cx
         inside = (sy >= 0) & (sy <= h - 1) & (sx >= 0) & (sx <= w - 1)
-        yi = np.clip(np.rint(sy).astype(np.int64), 0, h - 1)
-        xi = np.clip(np.rint(sx).astype(np.int64), 0, w - 1)
-        out.append(np.where(inside, a[yi, xi], cval).mean(axis=1))
+        idx = np.rint(sy).astype(np.int64) * w + np.rint(sx).astype(np.int64)
+        idx[~inside] = h * w
+        out.append(flat[idx].mean(axis=1))
     return out
 
 
@@ -292,53 +294,33 @@ def uniform_filter(a: np.ndarray, size) -> np.ndarray:
 
 
 def maximum_filter1d(a: np.ndarray, size: int, axis: int) -> np.ndarray:
-    """Sliding maximum, van Herk/Gil-Werman: O(n) independent of window
-    size (three passes of block cummax). Edge-replicate padding."""
+    """Sliding maximum by window doubling: over the edge-replicated
+    array, ~log2(size) ``np.maximum`` passes of contiguous slices build
+    the max of every power-of-two window w <= size; each output is then
+    the max of the two such windows that cover its own window (they
+    overlap, which max does not mind). Exact for any dtype."""
     size = max(1, int(size))
-    if size == 1:
-        return np.asarray(a).copy()
     a = np.asarray(a)
-    if size <= 4:
-        # tiny windows: shifted-max is faster than the block machinery
-        lo = size // 2
-        hi = size - 1 - lo
-        ap = _pad_axis(a, max(lo, hi), axis)
-        sl = [slice(None)] * a.ndim
-        sl[axis] = slice(max(lo, hi) - lo, ap.shape[axis] - (max(lo, hi) - hi))
-        ap = ap[tuple(sl)]
-        out = None
-        for i in range(size):
-            s = [slice(None)] * a.ndim
-            s[axis] = slice(i, i + a.shape[axis])
-            v = ap[tuple(s)]
-            out = v.copy() if out is None else np.maximum(out, v)
-        return out
-    moved = np.moveaxis(a, axis, -1)
-    n = moved.shape[-1]
-    lo = size // 2
-    hi = size - 1 - lo
-    # padded length m = n + size - 1; window i covers p[i : i + size]
-    p = np.concatenate(
-        [
-            np.repeat(moved[..., :1], lo, axis=-1),
-            moved,
-            np.repeat(moved[..., -1:], hi, axis=-1),
-        ],
-        axis=-1,
-    )
-    m = p.shape[-1]
-    nblocks = -(-m // size)
-    pad_tail = nblocks * size - m
-    if pad_tail:
-        p = np.concatenate([p, np.repeat(p[..., -1:], pad_tail, axis=-1)], axis=-1)
-    blocks = p.reshape(*p.shape[:-1], nblocks, size)
-    f = np.maximum.accumulate(blocks, axis=-1).reshape(*p.shape[:-1], -1)
-    b = np.maximum.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1].reshape(
-        *p.shape[:-1], -1
-    )
-    # out[i] = max(p[i:i+size]) = max(b[i], f[i+size-1]) for i in [0, n)
-    out = np.maximum(b[..., :n], f[..., size - 1 : size - 1 + n])
-    return np.moveaxis(out, -1, axis)
+    if size == 1:
+        return a.copy()
+    n = a.shape[axis]
+    pad = [(0, 0)] * a.ndim
+    pad[axis] = (size // 2, size - 1 - size // 2)
+    cur = np.pad(a, pad, mode="edge")
+
+    def part(x, start, stop):
+        s = [slice(None)] * x.ndim
+        s[axis] = slice(start, stop)
+        return x[tuple(s)]
+
+    w = 1
+    while 2 * w <= size:
+        m = cur.shape[axis]
+        cur = np.maximum(part(cur, 0, m - w), part(cur, w, m))
+        w *= 2
+    if w == size:
+        return np.ascontiguousarray(part(cur, 0, n))
+    return np.maximum(part(cur, 0, n), part(cur, size - w, size - w + n))
 
 
 def maximum_filter(a: np.ndarray, size) -> np.ndarray:
@@ -396,10 +378,11 @@ def label(binary: np.ndarray) -> tuple[np.ndarray, int]:
     adjacency between consecutive rows from two global searchsorted
     calls on row-composite keys, and the union is min-index propagation
     with pointer jumping over the run graph (O(E log d), no Python loop
-    over runs). Output is bit-identical to the sequential union-find
-    (``_label_runs_py``, kept for the property test): both root every
-    component at its first row-major run and dense-renumber roots in
-    ascending order. Returns (int32 label image, number of labels).
+    over runs). Output is bit-identical to a sequential run-based
+    union-find (``tests/test_imgops_properties.py`` keeps one as the
+    reference): both root every component at its first row-major run and
+    dense-renumber roots in ascending order. Returns (int32 label image,
+    number of labels).
     """
     b = np.asarray(binary) != 0
     h, w = b.shape
@@ -455,78 +438,6 @@ def label(binary: np.ndarray) -> tuple[np.ndarray, int]:
     np.add.at(flat, rowbase + sx, v)
     np.add.at(flat, rowbase + ex, -v)
     labels = np.cumsum(flat[:-1], dtype=np.int32).reshape(h, w + 1)[:, :w]
-    return labels, int(len(uniq))
-
-
-def _label_runs_py(binary: np.ndarray) -> tuple[np.ndarray, int]:
-    """Sequential run-based union-find labeling — the pre-vectorization
-    implementation, kept as the bit-exactness reference for ``label``."""
-    b = np.asarray(binary) != 0
-    h, w = b.shape
-    labels = np.zeros((h, w), dtype=np.int32)
-    if not b.any():
-        return labels, 0
-    # bulk run extraction: one diff over the zero-padded image
-    bp = np.zeros((h, w + 2), dtype=np.int8)
-    bp[:, 1:-1] = b
-    d = np.diff(bp, axis=1)
-    sy, sx = np.nonzero(d == 1)  # run starts (col index in original coords)
-    ey, ex = np.nonzero(d == -1)  # run ends (exclusive)
-    # starts/ends are row-major sorted and pair up 1:1 within each row
-    row_first = np.searchsorted(sy, np.arange(h), side="left")
-    row_last = np.searchsorted(sy, np.arange(h), side="right")
-    parent: list[int] = [0]  # union-find; 0 = background
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    sx_l = sx.tolist()
-    ex_l = ex.tolist()
-    run_label = [0] * len(sx_l)
-    prev_lo = prev_hi = 0  # run index range of the previous row
-    for y in range(h):
-        lo, hi = int(row_first[y]), int(row_last[y])
-        if lo == hi:
-            prev_lo = prev_hi = lo
-            continue
-        pi = prev_lo
-        for r in range(lo, hi):
-            s = sx_l[r]
-            e = ex_l[r]
-            lab = 0
-            while pi < prev_hi and ex_l[pi] <= s:
-                pi += 1
-            pj = pi
-            while pj < prev_hi and sx_l[pj] < e:
-                plab = find(run_label[pj])
-                if lab == 0:
-                    lab = plab
-                elif plab != lab:
-                    parent[max(plab, lab)] = min(plab, lab)
-                    lab = min(plab, lab)
-                pj += 1
-            if lab == 0:
-                parent.append(len(parent))
-                lab = len(parent) - 1
-            run_label[r] = lab
-            labels[y, s:e] = lab
-        prev_lo, prev_hi = lo, hi
-    # flatten + renumber densely
-    n = len(parent)
-    roots = np.zeros(n, dtype=np.int32)
-    for i in range(1, n):
-        roots[i] = find(i)
-    uniq = np.unique(roots[1:]) if n > 1 else np.array([], dtype=np.int32)
-    remap = np.zeros(n, dtype=np.int32)
-    remap[uniq] = np.arange(1, len(uniq) + 1, dtype=np.int32)
-    dense = remap[roots]
-    dense[0] = 0
-    labels = dense[labels]
     return labels, int(len(uniq))
 
 

@@ -45,26 +45,34 @@ def select_regions(binary: np.ndarray, f, min_v: float = 0, nbest: int = 100000)
     return keep[labels]
 
 
+def seed_label_table(labels: np.ndarray, n: int, seeds: np.ndarray,
+                     region: np.ndarray, conflict: int = 0) -> np.ndarray:
+    """Per-component seed label (index = component id of ``labels``, 0..n):
+    the seed under the component's first seeded pixel of ``region`` in
+    row-major order, or ``conflict`` where its seeded pixels carry more
+    than one distinct seed; 0 for unseeded components. ``np.unique``'s
+    first-occurrence index picks the first seed, one scatter marks the
+    conflicts."""
+    mask = region & (seeds > 0)
+    comp = labels[mask]
+    sd = seeds[mask]
+    first = np.zeros(n + 1, dtype=np.int64)
+    ids, at = np.unique(comp, return_index=True)
+    first[ids] = sd[at]
+    bad = np.zeros(n + 1, dtype=bool)
+    bad[comp[sd != first[comp]]] = True
+    first[bad] = conflict
+    return first
+
+
 def propagate_labels(regions: np.ndarray, seeds: np.ndarray, conflict: int = 0) -> np.ndarray:
     """Propagate seed labels to the components of `regions` they touch;
     components touched by >1 distinct seed get `conflict`
     (morph.propagate_labels, ocrolib/morph.py:174-188)."""
     rlab, rn = label(regions)
-    out = np.zeros_like(rlab)
     if rn == 0:
-        return out
-    mask = (rlab > 0) & (seeds > 0)
-    comp = rlab[mask]
-    sd = seeds[mask]
-    # first seed label seen per component; conflict if a second differs
-    first = np.zeros(rn + 1, dtype=np.int64)
-    bad = np.zeros(rn + 1, dtype=bool)
-    for c, s in zip(comp.tolist(), sd.tolist()):
-        if first[c] == 0:
-            first[c] = s
-        elif first[c] != s:
-            bad[c] = True
-    first[bad] = conflict
+        return np.zeros_like(rlab)
+    first = seed_label_table(rlab, rn, seeds, rlab > 0, conflict)
     return first[rlab].astype(np.int32)
 
 

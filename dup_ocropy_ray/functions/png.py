@@ -113,6 +113,9 @@ def decode_segmentation(data: bytes) -> np.ndarray:
 
 def _unfilter(raw: np.ndarray, h: int, stride: int, bpp: int) -> np.ndarray:
     """Undo PNG scanline filters. raw: (h, 1+stride) bytes incl. filter byte."""
+    if not raw[:, 0].any():
+        # every scanline unfiltered (filter 0), as the encoders here write
+        return raw[:, 1:].copy()
     out = np.zeros((h, stride), dtype=np.uint8)
     for y in range(h):
         ftype = int(raw[y, 0])

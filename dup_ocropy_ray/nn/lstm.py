@@ -188,6 +188,18 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -50, 50)))
 
 
+def _sigmoid_inplace(x: np.ndarray) -> np.ndarray:
+    """``_sigmoid`` evaluated in ``x``'s own buffer: the same ufuncs in
+    the same order (bit-equal), without ``np.clip``'s Python dispatch
+    and the four temporaries."""
+    np.minimum(x, 50, out=x)
+    np.maximum(x, -50, out=x)
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    return np.divide(1.0, x, out=x)
+
+
 class LSTMLayer:
     """Single-direction peephole LSTM. Weights:
     W{i,f,c,o}: (Ns, 1+Ni+Ns) over z=[1, x_t, h_{t-1}]; peepholes
@@ -249,7 +261,9 @@ class LSTMLayer:
 
         The four gate projections are fused into one stacked matmul per
         timestep; the input part (which doesn't depend on the recurrence)
-        is hoisted out of the time loop entirely as one (B*T) matmul."""
+        is hoisted out of the time loop entirely as one (B*T) matmul. The
+        i and f gates share one in-place sigmoid over their (B, 2ns)
+        block, whose peephole term is ``concat(pi, pf) * concat(c, c)``."""
         B, T, _ = xs.shape
         ns = self.ns
         ni = self.ni
@@ -269,17 +283,16 @@ class LSTMLayer:
             gf = np.zeros((B, T, ns))
             gc = np.zeros((B, T, ns))
             go = np.zeros((B, T, ns))
+        pif = np.concatenate([self.pi, self.pf])
         for t in range(T):
             a = xin[:, t] + h @ Wh  # (B, 4ns)
-            ai = a[:, :ns]
-            af = a[:, ns : 2 * ns]
-            ac = a[:, 2 * ns : 3 * ns]
-            ao = a[:, 3 * ns :]
-            i_t = _sigmoid(ai + self.pi * c)
-            f_t = _sigmoid(af + self.pf * c)
-            c_in = np.tanh(ac)
+            gif = _sigmoid_inplace(a[:, : 2 * ns]
+                                   + pif * np.concatenate([c, c], axis=1))
+            i_t = gif[:, :ns]
+            f_t = gif[:, ns:]
+            c_in = np.tanh(a[:, 2 * ns : 3 * ns])
             c = i_t * c_in + f_t * c
-            o_t = _sigmoid(ao + self.po * c)
+            o_t = _sigmoid_inplace(a[:, 3 * ns :] + self.po * c)
             h = o_t * np.tanh(c)
             hs[:, t, :] = h
             if cache:

@@ -4,11 +4,12 @@ recognize -> reassembled interleaved docs (SURVEY.md §3.4 lifecycle).
 Shape:
 
     docs ──explode media spans──► page rows
+         ──repartition (one page row per block)
          ──_resolve_media_fn (broadcast store, task pool)
            or resolve_media_join (media Dataset, hash join)──► +page_png
-         ──binarize_batch  (stateless tasks, B1-B6)──► +bin_png
-         ──segment_batch   (stateless tasks, G1-G16)──► +lines
-         ──explode_lines   (1 page → N line rows; the skew equalizer)
+         ──PageProcessor (stateless tasks, one page each):
+             binarize_png (B1-B6) ──{0,1} array──► segment_binary
+             (G1-G16) ──► explode_lines (1 page → N line rows)
          ──LineRecognizerTask (task pool, model built once per worker
                                process)──► +text
     docs ──spans_to_union_rows──┐
@@ -18,8 +19,9 @@ Shape:
 Every stage runs on the elastic task pool: no CPU is reserved for one
 stage, so any idle CPU picks up whichever stage has work. Only small
 text rows enter the final shuffle; pixel columns are dropped at each
-stage boundary. Skew (multi-page docs) is equalized by the line
-explosion itself.
+stage boundary. Skew (multi-page docs) is equalized twice: pages of one
+doc go to separate page tasks, and the line explosion spreads each
+page's lines over the recognizer batches.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ import ray
 import ray.data as rd
 
 from ..sources.media import put_media_store
-from ..stages.binarize import binarize_batch
+from ..stages.binarize import binarize_png
 from ..stages.recognize import LineRecognizerTask
 from ..stages.reassemble import lines_to_union_rows, spans_to_union_rows
-from ..stages.segment import explode_lines, segment_batch
+from ..stages.segment import append_segments, explode_lines, segment_binary
 from ..state import checkpoint as ckpt
 
 # One page per page task, so multi-page documents fan out over the CPUs.
@@ -89,12 +91,21 @@ def explode_media_spans(batch: pa.Table) -> pa.Table:
 class PageProcessor:
     """Stage fusing binarize (B1-B6) + segment (G1-G16) + line explosion
     for one page batch. Stateless; runs on the elastic task pool, so
-    every idle CPU picks up page work. The normalized page image is not
-    kept: only line crops leave this stage."""
+    every idle CPU picks up page work. Binarize hands segmentation its
+    {0,1} array directly (the per-page helpers of the registered nlbin
+    and gpageseg stages, without their PNG columns); only line crops
+    leave this stage."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        b = binarize_batch(batch, keep_nrm=False)
-        return explode_lines(segment_batch(b), page_markers=True)
+        masks = (batch.column("mask_png").to_pylist()
+                 if "mask_png" in batch.column_names else None)
+        results = []
+        for i, data in enumerate(batch.column("page_png").to_pylist()):
+            b = binarize_png(data)
+            results.append(segment_binary(b["bin"], b["status"],
+                                          masks[i] if masks else None))
+        pages = batch.select(["doc_id", "media_ref", "span_offset"])
+        return explode_lines(append_segments(pages, results), page_markers=True)
 
 
 def _resolve_media_fn(batch: pa.Table, store_ref=None) -> pa.Table:
@@ -104,7 +115,7 @@ def _resolve_media_fn(batch: pa.Table, store_ref=None) -> pa.Table:
     store = ray.get(store_ref)
     refs = batch.column("media_ref").to_pylist()
     # .get: a dangling media_ref yields a null page_png, which flows into
-    # binarize_batch's poison-pill handling as a skip-status row (as on
+    # binarize_png's poison-pill handling as a skip-status row (as on
     # the join path; skip-don't-fail invariant)
     out = batch.append_column(
         "page_png", pa.array([store.get(r) for r in refs], pa.binary())
@@ -131,6 +142,10 @@ def _page_lines(docs: rd.Dataset, media_store_ref,
     import functools
 
     pages = docs.map_batches(explode_media_spans, batch_format="pyarrow")
+    # One page row per block, so every page is its own page task: a
+    # multi-page doc read as one block would otherwise keep all of its
+    # pages in one task, which then sets the operator's wall time.
+    pages = pages.repartition(target_num_rows_per_block=PAGE_BATCH_SIZE)
     if isinstance(media_store_ref, rd.Dataset):
         from ..sources.media import resolve_media_join
 

@@ -179,34 +179,38 @@ def binarize_page(raw_gray: np.ndarray, **params) -> dict:
     return {"status": "", "bin": binary, "nrm": flat, "angle": float(angle)}
 
 
+def binarize_png(data: bytes | None, **params) -> dict:
+    """One page's PNG bytes -> ``binarize_page``'s dict with status 'ok',
+    the skip reason, or an ``error:`` status for a page that does not
+    decode or binarize (poison pill -> status row, never fail the job)."""
+    try:
+        r = binarize_page(png.decode_gray(data), **params)
+    except Exception as e:
+        r = {"status": f"error: {type(e).__name__}: {e}", "bin": None, "nrm": None,
+             "angle": 0.0}
+    r["status"] = r["status"] or "ok"
+    return r
+
+
 def binarize_batch(batch: pa.Table, keep_nrm: bool = True, **params) -> pa.Table:
     """Stateless map_batches UDF: page_png -> bin_png (+ nrm_png) + status.
 
     Arrow in / Arrow out; the per-image kernel is fully vectorized numpy,
     the Python loop is only over the images in the batch (images have
     heterogeneous shapes — one row, one page)."""
-    pngs = batch.column("page_png").to_pylist()
-    bins: list[bytes | None] = []
-    nrms: list[bytes | None] = []
-    statuses: list[str] = []
-    angles: list[float] = []
-    for data in pngs:
-        try:
-            gray = png.decode_gray(data)
-            r = binarize_page(gray, **params)
-        except Exception as e:  # poison pill -> status row, never fail the job
-            r = {"status": f"error: {type(e).__name__}: {e}", "bin": None, "nrm": None,
-                 "angle": 0.0}
-        statuses.append(r["status"] if r["status"] else "ok")
-        angles.append(r["angle"])
-        bins.append(png.encode_gray(r["bin"]) if r["bin"] is not None else None)
-        nrms.append(
-            png.encode_gray(r["nrm"]) if (keep_nrm and r["nrm"] is not None) else None
-        )
+    results = [binarize_png(data, **params)
+               for data in batch.column("page_png").to_pylist()]
+
+    def pngs(key):
+        return pa.array([png.encode_gray(r[key]) if r[key] is not None else None
+                         for r in results], type=pa.binary())
+
     out = batch.drop_columns(["page_png"])
-    out = out.append_column("bin_png", pa.array(bins, type=pa.binary()))
+    out = out.append_column("bin_png", pngs("bin"))
     if keep_nrm:
-        out = out.append_column("nrm_png", pa.array(nrms, type=pa.binary()))
-    out = out.append_column("bin_status", pa.array(statuses, type=pa.string()))
-    out = out.append_column("skew_angle", pa.array(angles, type=pa.float64()))
+        out = out.append_column("nrm_png", pngs("nrm"))
+    out = out.append_column(
+        "bin_status", pa.array([r["status"] for r in results], type=pa.string()))
+    out = out.append_column(
+        "skew_angle", pa.array([r["angle"] for r in results], type=pa.float64()))
     return out

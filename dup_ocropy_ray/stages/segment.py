@@ -38,6 +38,7 @@ from ..functions.morph import (
     r_dilation,
     r_erosion,
     remove_small_components,
+    seed_label_table,
     select_regions,
     spread_labels,
 )
@@ -333,17 +334,7 @@ def compute_segmentation(
     )
     if reuse_components:
         # propagate seed labels component-wise on the existing labeling
-        mask = (boxmap > 0) & (seeds > 0)
-        comp = labels[mask]
-        sd = seeds[mask]
-        first = np.zeros(n + 1, dtype=np.int64)
-        bad = np.zeros(n + 1, dtype=bool)
-        for c, s in zip(comp.tolist(), sd.tolist()):
-            if first[c] == 0:
-                first[c] = s
-            elif first[c] != s:
-                bad[c] = True
-        first[bad] = 0
+        first = seed_label_table(labels, n, seeds, boxmap > 0)
         llabels = np.where(boxmap > 0, first[labels], 0).astype(np.int32)
     else:
         llabels = propagate_labels(boxmap, seeds, conflict=0)
@@ -511,47 +502,58 @@ LINE_ITEM = pa.struct(
 )
 
 
+def segment_binary(binary, status: str, mask_png: bytes | None = None,
+                   **params) -> dict:
+    """One binarized page -> ``segment_page``'s dict with status 'ok', the
+    skip reason, or an ``error:`` status. ``binary`` is binarize's {0,1}
+    uint8 array (1 = white) or its PNG, decoded here; ``status`` is
+    binarize's, and a page it did not pass keeps that status."""
+    if status != "ok" or binary is None:
+        return {"status": status if status != "ok" else "no binary image",
+                "scale": 0.0, "lines": []}
+    try:
+        if isinstance(binary, bytes):
+            binary = png.decode_binary(binary)
+        if mask_png is not None:
+            # G7: sibling .mask.png media span; bright pixels mark
+            # separator regions (reference apply_mask feeds
+            # read_image_binary output — 1 where bright — straight
+            # into maximum(colseps, mask), ocropus-gpageseg:268-276)
+            params["mask"] = png.decode_binary(mask_png)
+        r = segment_page(binary, **params)
+    except Exception as e:
+        r = {"status": f"error: {type(e).__name__}: {e}", "scale": 0.0, "lines": []}
+    r["status"] = r["status"] or "ok"
+    return r
+
+
+def append_segments(batch: pa.Table, results: list[dict]) -> pa.Table:
+    """Page rows + their ``segment_binary`` results -> the rows plus the
+    lines, seg_status and seg_scale columns (the first two are what
+    ``explode_lines`` reads)."""
+    out = batch.append_column(
+        "lines", pa.array([r["lines"] for r in results], type=pa.list_(LINE_ITEM)))
+    out = out.append_column(
+        "seg_status", pa.array([r["status"] for r in results], type=pa.string()))
+    return out.append_column(
+        "seg_scale", pa.array([r["scale"] for r in results], type=pa.float64()))
+
+
 def segment_batch(batch: pa.Table, **params) -> pa.Table:
     """Stateless map_batches UDF: bin_png -> lines list column + status."""
     bins = batch.column("bin_png").to_pylist()
-    statuses = batch.column("bin_status").to_pylist()
     masks = (
         batch.column("mask_png").to_pylist()
         if "mask_png" in batch.column_names
         else [None] * len(bins)
     )
-    out_lines: list[list[dict]] = []
-    out_status: list[str] = []
-    scales: list[float] = []
-    for data, st, mk in zip(bins, statuses, masks):
-        if st != "ok" or data is None:
-            out_lines.append([])
-            out_status.append(st if st != "ok" else "no binary image")
-            scales.append(0.0)
-            continue
-        try:
-            binary = png.decode_binary(data)
-            kw = dict(params)
-            if mk is not None:
-                # G7: sibling .mask.png media span; bright pixels mark
-                # separator regions (reference apply_mask feeds
-                # read_image_binary output — 1 where bright — straight
-                # into maximum(colseps, mask), ocropus-gpageseg:268-276)
-                kw["mask"] = png.decode_binary(mk)
-            r = segment_page(binary, **kw)
-        except Exception as e:
-            r = {"status": f"error: {type(e).__name__}: {e}", "scale": 0.0, "lines": []}
-        out_lines.append(r["lines"])
-        out_status.append(r["status"] if r["status"] else "ok")
-        scales.append(r["scale"])
+    results = [segment_binary(data, st, mk, **params) for data, st, mk in
+               zip(bins, batch.column("bin_status").to_pylist(), masks)]
     out = batch.drop_columns(
         ["bin_png"]
         + [c for c in ("nrm_png", "mask_png") if c in batch.column_names]
     )
-    out = out.append_column("lines", pa.array(out_lines, type=pa.list_(LINE_ITEM)))
-    out = out.append_column("seg_status", pa.array(out_status, type=pa.string()))
-    out = out.append_column("seg_scale", pa.array(scales, type=pa.float64()))
-    return out
+    return append_segments(out, results)
 
 
 def explode_lines(batch: pa.Table, page_markers: bool = False) -> pa.Table:

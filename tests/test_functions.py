@@ -56,6 +56,68 @@ def test_png_float_and_binary():
     np.testing.assert_array_equal(back, b)
 
 
+def _png_filtered(img: np.ndarray, ctype: int, ftypes) -> bytes:
+    """8-bit PNG whose scanline y is written with filter ftypes[y] (PNG
+    spec 9.2-9.4: Sub, Up, Average, Paeth predict from the left, up and
+    upper-left bytes)."""
+    import struct
+    import zlib
+
+    h, w = img.shape[:2]
+    bpp = 1 if img.ndim == 2 else img.shape[2]
+    rows = img.reshape(h, w * bpp).astype(np.int32)
+    raw = bytearray()
+    for y, ft in enumerate(ftypes):
+        prev = rows[y - 1] if y else np.zeros(w * bpp, np.int32)
+        raw.append(ft)
+        for x in range(w * bpp):
+            left = int(rows[y, x - bpp]) if x >= bpp else 0
+            up = int(prev[x])
+            ul = int(prev[x - bpp]) if x >= bpp else 0
+            if ft == 0:
+                pred = 0
+            elif ft == 1:
+                pred = left
+            elif ft == 2:
+                pred = up
+            elif ft == 3:
+                pred = (left + up) // 2
+            else:
+                p = left + up - ul
+                pa, pb, pc = abs(p - left), abs(p - up), abs(p - ul)
+                pred = left if pa <= pb and pa <= pc else (up if pb <= pc else ul)
+            raw.append((int(rows[y, x]) - pred) & 0xFF)
+
+    def chunk(tag, body):
+        return (struct.pack(">I", len(body)) + tag + body
+                + struct.pack(">I", zlib.crc32(tag + body) & 0xFFFFFFFF))
+
+    return (b"\x89PNG\r\n\x1a\n"
+            + chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, ctype, 0, 0, 0))
+            + chunk(b"IDAT", zlib.compress(bytes(raw)))
+            + chunk(b"IEND", b""))
+
+
+def test_png_decode_all_scanline_filters():
+    """Filters 1-4, each on every scanline and mixed with filter 0: the
+    all-filter-0 fast path must not stand in for the general unfilter."""
+    rng = np.random.default_rng(5)
+    gray = rng.integers(0, 256, size=(9, 11)).astype(np.uint8)
+    rgb = rng.integers(0, 256, size=(6, 5, 3)).astype(np.uint8)
+    for img, ctype in ((gray, 0), (rgb, 2)):
+        h = img.shape[0]
+        for ft in (1, 2, 3, 4):
+            for ftypes in ([ft] * h, [0, ft] * (h // 2) + [ft] * (h % 2),
+                           [0] * (h - 1) + [ft]):
+                back = png.decode(_png_filtered(img, ctype, ftypes))
+                np.testing.assert_array_equal(back, img)
+        mixed = [(0, 1, 2, 3, 4)[y % 5] for y in range(h)]
+        np.testing.assert_array_equal(
+            png.decode(_png_filtered(img, ctype, mixed)), img)
+        np.testing.assert_array_equal(
+            png.decode(_png_filtered(img, ctype, [0] * h)), img)
+
+
 # ------------------------------------------------------------------ imgops
 
 
@@ -143,6 +205,33 @@ def test_propagate_and_spread_labels():
     sp = morph.spread_labels(seeds, maxdist=30)
     assert sp[3, 3] == 5 and sp[3, 13] == 9
     assert (sp > 0).all()
+
+
+def test_seed_label_table_matches_row_major_walk():
+    """First seed per component in row-major order, ``conflict`` where a
+    component meets two distinct seeds: as a per-pixel walk finds them."""
+    from dup_ocropy_ray.functions.imgops import label
+
+    rng = np.random.default_rng(2)
+    for _ in range(50):
+        h, w = rng.integers(1, 30, size=2)
+        regions = rng.random((h, w)) < 0.6
+        seeds = (rng.integers(1, 4, size=(h, w))
+                 * (rng.random((h, w)) < 0.2)).astype(np.int32)
+        labels, n = label(regions)
+        want = np.zeros(n + 1, dtype=np.int64)
+        seen = np.zeros(n + 1, dtype=bool)
+        bad = np.zeros(n + 1, dtype=bool)
+        for c, s in zip(labels.ravel(), seeds.ravel()):
+            if c == 0 or s == 0:
+                continue
+            if not seen[c]:
+                seen[c], want[c] = True, s
+            elif want[c] != s:
+                bad[c] = True
+        want[bad] = -1
+        got = morph.seed_label_table(labels, n, seeds, labels > 0, conflict=-1)
+        np.testing.assert_array_equal(got, want)
 
 
 def test_keep_marked():

@@ -1,6 +1,6 @@
 """Property-based tests for the numpy filter kernels: each optimized
-implementation (van Herk max, cumsum mean, box-cascade gaussian, run-based
-labeling) must agree with the obvious brute-force definition."""
+implementation (window-doubling max, cumsum mean, box-cascade gaussian,
+run-based labeling) must agree with the obvious brute-force definition."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -29,11 +29,19 @@ def _brute_max1d(a, size, axis):
     return out
 
 
-@settings(max_examples=60, deadline=None)
-@given(_imgs, st.integers(1, 9), st.integers(0, 1))
-def test_maximum_filter1d_matches_bruteforce(a, size, axis):
+_max_dtypes = st.sampled_from([np.float32, np.uint8, np.bool_, np.int32])
+
+
+@settings(max_examples=120, deadline=None)
+@given(_imgs, _max_dtypes, st.floats(0, 1), st.integers(0, 1))
+def test_maximum_filter1d_matches_bruteforce(a, dtype, frac, axis):
+    # integer and bool pages as the segmenter passes them; windows from 1
+    # up to 2n+1, wider than the axis on both sides
+    a = (a * 255).astype(dtype) if dtype != np.bool_ else a > 0.5
+    size = 1 + int(frac * 2 * a.shape[axis])
     got = imgops.maximum_filter1d(a, size, axis)
     want = _brute_max1d(a, size, axis)
+    assert got.dtype == a.dtype
     assert np.array_equal(got, want)
 
 
@@ -90,6 +98,79 @@ def test_label_matches_floodfill(b):
         assert len(set(mapping.values())) == len(mapping)
 
 
+def _label_runs_py(binary: np.ndarray) -> tuple[np.ndarray, int]:
+    """Sequential run-based union-find labeling — the implementation
+    ``imgops.label`` vectorized, kept here as its bit-exactness
+    reference."""
+    b = np.asarray(binary) != 0
+    h, w = b.shape
+    labels = np.zeros((h, w), dtype=np.int32)
+    if not b.any():
+        return labels, 0
+    # bulk run extraction: one diff over the zero-padded image
+    bp = np.zeros((h, w + 2), dtype=np.int8)
+    bp[:, 1:-1] = b
+    d = np.diff(bp, axis=1)
+    sy, sx = np.nonzero(d == 1)  # run starts (col index in original coords)
+    ey, ex = np.nonzero(d == -1)  # run ends (exclusive)
+    # starts/ends are row-major sorted and pair up 1:1 within each row
+    row_first = np.searchsorted(sy, np.arange(h), side="left")
+    row_last = np.searchsorted(sy, np.arange(h), side="right")
+    parent: list[int] = [0]  # union-find; 0 = background
+
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    sx_l = sx.tolist()
+    ex_l = ex.tolist()
+    run_label = [0] * len(sx_l)
+    prev_lo = prev_hi = 0  # run index range of the previous row
+    for y in range(h):
+        lo, hi = int(row_first[y]), int(row_last[y])
+        if lo == hi:
+            prev_lo = prev_hi = lo
+            continue
+        pi = prev_lo
+        for r in range(lo, hi):
+            s = sx_l[r]
+            e = ex_l[r]
+            lab = 0
+            while pi < prev_hi and ex_l[pi] <= s:
+                pi += 1
+            pj = pi
+            while pj < prev_hi and sx_l[pj] < e:
+                plab = find(run_label[pj])
+                if lab == 0:
+                    lab = plab
+                elif plab != lab:
+                    parent[max(plab, lab)] = min(plab, lab)
+                    lab = min(plab, lab)
+                pj += 1
+            if lab == 0:
+                parent.append(len(parent))
+                lab = len(parent) - 1
+            run_label[r] = lab
+            labels[y, s:e] = lab
+        prev_lo, prev_hi = lo, hi
+    # flatten + renumber densely
+    n = len(parent)
+    roots = np.zeros(n, dtype=np.int32)
+    for i in range(1, n):
+        roots[i] = find(i)
+    uniq = np.unique(roots[1:]) if n > 1 else np.array([], dtype=np.int32)
+    remap = np.zeros(n, dtype=np.int32)
+    remap[uniq] = np.arange(1, len(uniq) + 1, dtype=np.int32)
+    dense = remap[roots]
+    dense[0] = 0
+    labels = dense[labels]
+    return labels, int(len(uniq))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     arrays(np.bool_, st.tuples(st.integers(1, 40), st.integers(1, 40))),
@@ -99,7 +180,7 @@ def test_label_bit_exact_vs_sequential_unionfind(b):
     the IDENTICAL label image (not just the same partition) as the
     sequential run-based union-find it replaced."""
     got, n_got = imgops.label(b)
-    want, n_want = imgops._label_runs_py(b)
+    want, n_want = _label_runs_py(b)
     assert n_got == n_want
     assert np.array_equal(got, want)
 
@@ -109,7 +190,7 @@ def test_label_bit_exact_dense_random():
     for density in (0.1, 0.45, 0.6, 0.9):
         b = rng.random((120, 83)) < density
         got, n_got = imgops.label(b)
-        want, n_want = imgops._label_runs_py(b)
+        want, n_want = _label_runs_py(b)
         assert n_got == n_want and np.array_equal(got, want)
 
 

@@ -1,13 +1,14 @@
 """From-scratch TTF rasterizer + linegen degradation tests (reference
 ocropus-linegen:128-240; DejaVuSans.ttf is the reference's in-tree,
-redistributable test font)."""
+redistributable test font). The font path is ``linegen.DEJAVU``: the
+reference checkout's copy, else the system DejaVu package's."""
 
 import os
 
 import numpy as np
 import pytest
 
-FONT = "/root/reference/tests/DejaVuSans.ttf"
+from dup_ocropy_ray.sources.linegen import DEJAVU as FONT
 
 pytestmark = pytest.mark.skipif(
     not os.path.exists(FONT), reason="DejaVuSans.ttf not present")
