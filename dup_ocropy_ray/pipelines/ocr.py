@@ -4,9 +4,10 @@ recognize -> reassembled interleaved docs (SURVEY.md §3.4 lifecycle).
 Shape:
 
     docs ──explode media spans──► page rows
-         ──repartition (one page row per block)
-         ──_resolve_media_fn (broadcast store, task pool)
-           or resolve_media_join (media Dataset, hash join)──► +page_png
+         ──attach_media: repartition (one page row per block), then a
+           dict lookup in the ray.put broadcast store (task pool);
+           or, for a media Dataset, one sort-shuffle exchange of page
+           and media rows, then the repartition──► +page_png, mask_png
          ──PageProcessor (stateless tasks, one page each):
              binarize_png (B1-B6) ──{0,1} array──► segment_binary
              (G1-G16) ──► explode_lines (1 page → N line rows)
@@ -35,7 +36,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..sources.media import put_media_store
+from ..sources.media import (attach_media, put_media_store,
+                             resolve_media_join)
 from ..stages.binarize import binarize_png
 from ..stages.recognize import LineRecognizerTask
 from ..stages.reassemble import lines_to_union_rows, spans_to_union_rows
@@ -108,28 +110,14 @@ class PageProcessor:
         return explode_lines(append_segments(pages, results), page_markers=True)
 
 
-def _resolve_media_fn(batch: pa.Table, store_ref=None) -> pa.Table:
-    """Task-pool media resolution: the store is a ``ray.put`` broadcast —
-    fetched zero-copy from the local object store (one transfer per node
-    on a cluster, never re-shipped per batch)."""
-    store = ray.get(store_ref)
-    refs = batch.column("media_ref").to_pylist()
-    # .get: a dangling media_ref yields a null page_png, which flows into
-    # binarize_png's poison-pill handling as a skip-status row (as on
-    # the join path; skip-don't-fail invariant)
-    out = batch.append_column(
-        "page_png", pa.array([store.get(r) for r in refs], pa.binary())
-    )
-    # G7: a sibling "<ref>.mask" entry is a user separator mask
-    # (reference ocropus-gpageseg:268-276 reads base+".mask.png");
-    # column is always attached (null where absent) for schema stability
-    return out.append_column(
-        "mask_png", pa.array([store.get(r + ".mask") for r in refs], pa.binary())
-    )
+def _attach_broadcast(batch: pa.Table, store_ref=None) -> pa.Table:
+    """``attach_media`` on the ``ray.put`` broadcast store, fetched
+    zero-copy from the local object store (one transfer per node on a
+    cluster, never re-shipped per batch)."""
+    return attach_media(batch, ray.get(store_ref))
 
 
-def _page_lines(docs: rd.Dataset, media_store_ref,
-                media_join_partitions: int = 8) -> rd.Dataset:
+def _page_lines(docs: rd.Dataset, media_store_ref) -> rd.Dataset:
     """docs -> page line rows: explode media spans, resolve their bytes,
     then binarize + segment + explode lines (``PageProcessor``), one page
     per task. The front half shared by every OCR sink.
@@ -137,23 +125,22 @@ def _page_lines(docs: rd.Dataset, media_store_ref,
     ``media_store_ref`` is either a ``ray.ObjectRef`` to a broadcast
     {media_ref: bytes} dict (small-side lookup: put once, read zero-copy
     per node) or a ``ray.data.Dataset`` of (media_ref, bytes) — the
-    100 TB path, resolved with a hash-partitioned ``Dataset.join`` so
-    neither side materializes on one node."""
+    100 TB path, resolved in one sort-shuffle exchange so neither side
+    materializes on one node (``sources/media.py``)."""
     import functools
 
     pages = docs.map_batches(explode_media_spans, batch_format="pyarrow")
     # One page row per block, so every page is its own page task: a
     # multi-page doc read as one block would otherwise keep all of its
-    # pages in one task, which then sets the operator's wall time.
-    pages = pages.repartition(target_num_rows_per_block=PAGE_BATCH_SIZE)
+    # pages in one task, which then sets the operator's wall time. The
+    # media exchange re-blocks its output, so there the split follows it.
     if isinstance(media_store_ref, rd.Dataset):
-        from ..sources.media import resolve_media_join
-
-        pages = resolve_media_join(pages, media_store_ref,
-                                   num_partitions=media_join_partitions)
+        pages = resolve_media_join(pages, media_store_ref).repartition(
+            target_num_rows_per_block=PAGE_BATCH_SIZE)
     else:
-        pages = pages.map_batches(
-            functools.partial(_resolve_media_fn, store_ref=media_store_ref),
+        pages = pages.repartition(
+            target_num_rows_per_block=PAGE_BATCH_SIZE).map_batches(
+            functools.partial(_attach_broadcast, store_ref=media_store_ref),
             batch_format="pyarrow",
             batch_size=PAGE_BATCH_SIZE,
         )
@@ -166,7 +153,6 @@ def ocr_recognized_lines(
     media_store_ref,
     model_path: str | None = None,
     recognizer_kwargs: dict | None = None,
-    media_join_partitions: int = 8,
 ) -> rd.Dataset:
     """docs -> recognized line rows (doc_id, media_ref, span_offset,
     line_order, bbox, text, confidence, rec_status, page_status), with
@@ -178,7 +164,7 @@ def ocr_recognized_lines(
     later batches and later runs (stages/recognize.py
     ``LineRecognizerTask``). ``media_store_ref`` is a broadcast ref or a
     media Dataset (see ``_page_lines``)."""
-    lines = _page_lines(docs, media_store_ref, media_join_partitions)
+    lines = _page_lines(docs, media_store_ref)
     return lines.map_batches(
         LineRecognizerTask(model_path=model_path, **(recognizer_kwargs or {})),
         batch_format="pyarrow",
@@ -204,12 +190,15 @@ def ocr_correction_html(docs: rd.Dataset, media_store_ref, **kw) -> rd.Dataset:
 def ocr_debug_html(docs: rd.Dataset, media_store_ref, **kw) -> rd.Dataset:
     """docs -> (doc_id, html) debug/results-browser pages with page
     thumbnails + per-line image/text (reference ocropus-visualize-results
-    sink, S11)."""
+    sink, S11). Thumbnails come from the broadcast store; with a media
+    Dataset the pages have no thumbnails."""
     from ..stages.debug_html import debug_html_from_lines
 
     kw.setdefault("recognizer_kwargs", {})["keep_png"] = True
     rec = ocr_recognized_lines(docs, media_store_ref, **kw)
-    return debug_html_from_lines(rec, media_store_ref=media_store_ref)
+    return debug_html_from_lines(
+        rec, media_store_ref=(media_store_ref if isinstance(
+            media_store_ref, ray.ObjectRef) else None))
 
 
 def ocr_pipeline(docs: rd.Dataset, media_store_ref, **kw) -> rd.Dataset:
@@ -241,17 +230,15 @@ def ocr_hocr(docs: rd.Dataset, media_store_ref, **kw) -> rd.Dataset:
     return hocr_from_lines(rec)
 
 
-def dewarp_line_stats(docs: rd.Dataset, media_store_ref,
-                      media_join_partitions: int = 8) -> rd.Dataset:
+def dewarp_line_stats(docs: rd.Dataset, media_store_ref) -> rd.Dataset:
     """Standalone dewarp tool (reference ocropus-dewarp:42-53, R13):
     segment pages, center-normalize each line, return the dewarped
     geometry (doc_id, media_ref, line_order, dw_h, dw_w, ink_frac).
-    ``media_store_ref`` and ``media_join_partitions`` as for
-    ``ocr_recognized_lines``."""
+    ``media_store_ref`` as for ``ocr_recognized_lines``."""
     from ..functions import png as _png
     from ..stages.lineest import normalize_line
 
-    lines = _page_lines(docs, media_store_ref, media_join_partitions)
+    lines = _page_lines(docs, media_store_ref)
 
     def dewarp(batch: pa.Table) -> pa.Table:
         rows = {k: [] for k in

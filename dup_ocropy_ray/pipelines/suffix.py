@@ -763,6 +763,11 @@ def _maximal_grouped(docs: rd.Dataset, text_col: str, id_col: str,
         tok_lists = [(t or "").split() for t in dr["text"].tolist()]
         counts = np.array([len(t) for t in tok_lists], dtype=np.int64)
         order = pd.Index(dr["doc"].to_numpy(np.int64))
+        if order.has_duplicates:
+            # hits carry only the doc key: two docs under one id would
+            # share (and garble) each other's coverage
+            raise ValueError(f"maximal substring dedup needs unique "
+                             f"{id_col!r} values; found duplicates")
         ver = g[g["kind"].to_numpy() == 1]
         didx = order.get_indexer(ver["doc"].to_numpy(np.int64))
         ok = didx >= 0

@@ -83,16 +83,19 @@ def test_ocr_output_blocks_are_arrow(ray_session, fixture_corpus):
         assert tbl.num_rows == out.count() > 0, sink.__name__
 
 
-_ONE_CPU_RUN = """
+_FRESH_SESSION_RUN = """
 import json, sys
 import ray
-ray.init(address="local", num_cpus=1, object_store_memory=200 << 20,
+ray.init(address="local", num_cpus=int(sys.argv[3]),
+         object_store_memory=200 << 20,
          include_dashboard=False, logging_level="ERROR")
 try:
+    import ray.data as rd
     from dup_ocropy_ray.pipelines.ocr import ocr_pipeline, read_docs
     from dup_ocropy_ray.sources.media import put_media_store
-    df = ocr_pipeline(read_docs(sys.argv[1]),
-                      put_media_store(sys.argv[2])).to_pandas()
+    media = (rd.read_parquet(sys.argv[2]) if sys.argv[4] == "dataset"
+             else put_media_store(sys.argv[2]))
+    df = ocr_pipeline(read_docs(sys.argv[1]), media).to_pandas()
     print(json.dumps([(r["doc_id"], [dict(s) for s in r["spans"]])
                       for _, r in df.iterrows()]))
 finally:
@@ -100,10 +103,10 @@ finally:
 """
 
 
-def test_ocr_pipeline_finishes_on_one_cpu(ray_session, corpus):
-    """With a single Ray CPU no stage may hold the CPU the others need:
-    ocr_pipeline with default arguments finishes in its own 1-CPU Ray
-    session and yields the same span sequence as in the test session."""
+def _run_in_fresh_session(corpus, num_cpus: int, media: str):
+    """ocr_pipeline with default arguments in its own Ray session of
+    ``num_cpus`` CPUs, ``media`` "broadcast" or "dataset"; the process
+    group is killed after 120 s. Returns the (doc_id, spans) frame."""
     import json
     import signal
     import subprocess
@@ -111,15 +114,12 @@ def test_ocr_pipeline_finishes_on_one_cpu(ray_session, corpus):
 
     import pandas as pd
 
-    from dup_ocropy_ray.pipelines.ocr import ocr_pipeline, read_docs
-    from dup_ocropy_ray.sources.media import put_media_store
-
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=repo)
     env.pop("RAY_ADDRESS", None)
     proc = subprocess.Popen(
-        [sys.executable, "-c", _ONE_CPU_RUN, corpus["docs"],
-         corpus["media"]],
+        [sys.executable, "-c", _FRESH_SESSION_RUN, corpus["docs"],
+         corpus["media"], str(num_cpus), media],
         cwd=repo, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True, start_new_session=True)
     try:
@@ -127,14 +127,41 @@ def test_ocr_pipeline_finishes_on_one_cpu(ray_session, corpus):
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        pytest.fail("ocr_pipeline did not finish within 120 s at num_cpus=1")
+        pytest.fail(f"ocr_pipeline with {media} media did not finish "
+                    f"within 120 s at num_cpus={num_cpus}")
     assert proc.returncode == 0, err[-2000:]
-    one_cpu = pd.DataFrame(json.loads(out.strip().splitlines()[-1]),
-                           columns=["doc_id", "spans"])
+    return pd.DataFrame(json.loads(out.strip().splitlines()[-1]),
+                        columns=["doc_id", "spans"])
+
+
+def test_ocr_pipeline_finishes_on_one_cpu(ray_session, corpus):
+    """With a single Ray CPU no stage may hold the CPU the others need:
+    ocr_pipeline with default arguments finishes in its own 1-CPU Ray
+    session and yields the same span sequence as in the test session."""
+    from dup_ocropy_ray.pipelines.ocr import ocr_pipeline, read_docs
+    from dup_ocropy_ray.sources.media import put_media_store
+
+    one_cpu = _run_in_fresh_session(corpus, 1, "broadcast")
     ref = ocr_pipeline(read_docs(corpus["docs"]),
                        put_media_store(corpus["media"])).to_pandas()
     assert len(one_cpu) == 6
     assert _span_seqs(one_cpu) == _span_seqs(ref)
+
+
+@pytest.mark.parametrize("num_cpus", [2, 4])
+def test_ocr_pipeline_media_dataset_finishes(ray_session, corpus, num_cpus):
+    """A media Dataset at default arguments resolves in a bounded time
+    at 2 and 4 CPUs (the former two hash joins reserved aggregator
+    memory by partition count and hung there), with the span sequence
+    of the broadcast path."""
+    from dup_ocropy_ray.pipelines.ocr import ocr_pipeline, read_docs
+    from dup_ocropy_ray.sources.media import put_media_store
+
+    out = _run_in_fresh_session(corpus, num_cpus, "dataset")
+    ref = ocr_pipeline(read_docs(corpus["docs"]),
+                       put_media_store(corpus["media"])).to_pandas()
+    assert len(out) == 6
+    assert _span_seqs(out) == _span_seqs(ref)
 
 
 def test_fragment_plan_mode_guards(tmp_path):
@@ -239,8 +266,11 @@ def test_gtedit_roundtrip(ray_session, corpus):
 
 
 def test_ocr_pipeline_media_join_mode(ray_session, corpus):
-    """Full pipeline with the 100TB-path media resolution: a
-    hash-partitioned Dataset.join instead of the broadcast store."""
+    """Full pipeline with the 100TB-path media resolution: a media
+    Dataset resolved in one shuffle instead of the broadcast store.
+    Every output value matches the broadcast run: span sequences and
+    all counters (the corpus's masked page locks mask parity)."""
+    import pandas as pd
     import ray.data as rd
 
     from dup_ocropy_ray.pipelines.ocr import ocr_pipeline, read_docs
@@ -248,19 +278,17 @@ def test_ocr_pipeline_media_join_mode(ray_session, corpus):
 
     docs = read_docs(corpus["docs"])
     media_ds = rd.read_parquet(corpus["media"])
-    out = ocr_pipeline(docs, media_ds, media_join_partitions=2).to_pandas()
-    # identical doc/page/line accounting as the broadcast path
+    out = ocr_pipeline(docs, media_ds).to_pandas()
     bref = put_media_store(corpus["media"])
     ref = ocr_pipeline(docs, bref).to_pandas()
     a = out.set_index("doc_id").sort_index()
     b = ref.set_index("doc_id").sort_index()
-    assert (a["n_lines"] == b["n_lines"]).all()
-    assert (a["n_pages"] == b["n_pages"]).all()
+    pd.testing.assert_frame_equal(a, b, check_exact=True)
 
 
 def test_dewarp_line_stats_media_join(ray_session, corpus):
     """The dewarp tool shares the OCR front half, so a media Dataset
-    (hash-join resolution) gives the same line geometry as the
+    (one-shuffle resolution) gives the same line geometry as the
     broadcast store."""
     import pandas as pd
     import ray.data as rd
@@ -269,8 +297,7 @@ def test_dewarp_line_stats_media_join(ray_session, corpus):
     from dup_ocropy_ray.sources.media import put_media_store
 
     def run(media):
-        out = dewarp_line_stats(read_docs(corpus["docs"]), media,
-                                media_join_partitions=2).to_pandas()
+        out = dewarp_line_stats(read_docs(corpus["docs"]), media).to_pandas()
         return out.sort_values(["doc_id", "media_ref", "line_order"]) \
             .reset_index(drop=True)
 
@@ -281,7 +308,8 @@ def test_dewarp_line_stats_media_join(ray_session, corpus):
 
 
 def test_media_join_path(ray_session, corpus):
-    """Scale path: hash-partitioned Dataset.join instead of broadcast."""
+    """Scale path: one shuffle of page and media rows instead of
+    broadcast."""
     import ray.data as rd
 
     from dup_ocropy_ray.pipelines.ocr import explode_media_spans, read_docs
@@ -290,7 +318,7 @@ def test_media_join_path(ray_session, corpus):
     docs = read_docs(corpus["docs"])
     pages = docs.map_batches(explode_media_spans, batch_format="pyarrow")
     media = rd.read_parquet(corpus["media"])
-    joined = resolve_media_join(pages, media, num_partitions=2).to_pandas()
+    joined = resolve_media_join(pages, media).to_pandas()
     assert len(joined) == 10
     assert joined["page_png"].map(lambda b: b[:4] == b"\x89PNG").all()
 
@@ -312,6 +340,53 @@ def test_debug_html_sink(ray_session, corpus):
     assert "data:image/png;base64," in h
     # skipped page surfaces its status
     assert "<font color='red'>" in byid["doc-000005"]
+
+
+def test_debug_html_sink_media_dataset(ray_session, corpus):
+    """With a media Dataset the debug sink runs and gives the broadcast
+    run's HTML without the page thumbnails, which only the broadcast
+    store provides."""
+    import re
+
+    import ray.data as rd
+
+    from dup_ocropy_ray.pipelines.ocr import ocr_debug_html, read_docs
+    from dup_ocropy_ray.sources.media import put_media_store
+
+    def run(media):
+        out = ocr_debug_html(read_docs(corpus["docs"]), media).to_pandas()
+        return out.set_index("doc_id")["html"].to_dict()
+
+    via_dataset = run(rd.read_parquet(corpus["media"]))
+    via_broadcast = run(put_media_store(corpus["media"]))
+    assert len(via_dataset) == 6
+    assert sum(h.count("class='thumb'") for h in via_broadcast.values()) > 0
+    assert via_dataset == {
+        d: re.sub(r"<img class='thumb' [^>]*/><br/>\n", "", h)
+        for d, h in via_broadcast.items()}
+
+
+def test_page_operator_runs_one_task_per_page(ray_session, corpus):
+    """Dataset.stats(): the page operator runs a task for each of the
+    corpus's 10 pages, with a broadcast store and with a media Dataset
+    (whose exchange re-blocks the page rows). Tasks that carried two
+    pages would leave fewer tasks than pages; an empty block from the
+    repartition can add one task."""
+    import re
+
+    import ray.data as rd
+
+    from dup_ocropy_ray.pipelines.ocr import ocr_recognized_lines, read_docs
+    from dup_ocropy_ray.sources.media import put_media_store
+
+    for media in (put_media_store(corpus["media"]),
+                  rd.read_parquet(corpus["media"])):
+        ds = ocr_recognized_lines(read_docs(corpus["docs"]), media)
+        stats = ds.materialize().stats()
+        tasks = re.findall(r"Operator \d+ \S*PageProcessor\): "
+                           r"(\d+) tasks executed", stats)
+        assert len(tasks) == 1 and int(tasks[0]) >= 10, \
+            (type(media).__name__, stats)
 
 
 def test_masked_page_reading_order_and_text(ray_session, corpus):
@@ -409,10 +484,10 @@ def test_skewed_page_deskewed_and_read(ray_session, corpus):
 
 
 def test_media_join_no_masks_and_dangling_ref(ray_session):
-    """Join path edge cases: a corpus with ZERO mask entries must not
-    break the second join (empty right side), and a dangling media_ref
-    must surface as a null page_png row (left outer; skip-don't-fail),
-    never silently drop the page."""
+    """Dataset path edge cases: a corpus with ZERO mask entries still
+    gets a (null) mask_png column, and a dangling media_ref must surface
+    as a null page_png row (skip-don't-fail), never silently drop the
+    page."""
     import pandas as pd
     import ray.data as rd
 
@@ -423,7 +498,7 @@ def test_media_join_no_masks_and_dangling_ref(ray_session):
          "span_offset": [0, 0]}))
     media = rd.from_pandas(pd.DataFrame(
         {"media_ref": ["p1"], "bytes": [b"\x89PNGx"]}))
-    out = resolve_media_join(pages, media, num_partitions=2).to_pandas()
+    out = resolve_media_join(pages, media).to_pandas()
     out = out.set_index("doc_id").sort_index()
     assert len(out) == 2
     assert out.loc["d1", "page_png"] == b"\x89PNGx"

@@ -4,6 +4,7 @@ and layout invariance."""
 
 import numpy as np
 import pandas as pd
+import pytest
 
 import ray.data as rd
 
@@ -269,6 +270,21 @@ def test_maximal_string_ids_and_no_dups(ray_session):
     assert (clean.sort_values("doc_id").clean_text.tolist()
             == ["one two three four", "five six seven eight"])
     assert len(dup_spans_maximal(ds, min_len=3).to_pandas()) == 0
+
+
+def test_maximal_duplicate_doc_ids_fail_fast(ray_session):
+    """Two rows sharing a doc_id: both maximal variants raise a
+    ValueError naming the id column instead of an opaque index error."""
+    from dup_ocropy_ray.pipelines.suffix import (dup_spans_maximal,
+                                                 substring_dedup_maximal)
+
+    s = " ".join(f"w{i}" for i in range(6))
+    ds = rd.from_pandas(pd.DataFrame({
+        "doc_id": ["a", "a", "b"],
+        "text": [f"x {s}", f"y {s}", f"z {s}"]}))
+    for fn in (substring_dedup_maximal, dup_spans_maximal):
+        with pytest.raises(ValueError, match="'doc_id'"):
+            fn(ds, min_len=3).materialize()
 
 
 def test_maximal_nul_tokens_and_whitespace(ray_session):
