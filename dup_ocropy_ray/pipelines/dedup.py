@@ -2182,8 +2182,7 @@ def ppjoin_pairs(
     bucket_joins fetch member texts -> vectorized exact verify.
     Returns a Dataset (doc_a < doc_b, jaccard rounded to 6dp).
     """
-    from .relational import bucket_join, keyed_combine
-    from .windows import part_tag
+    from .relational import bucket_join, keyed_combine, partition_map
 
     P = num_partitions
     docs = ds.select_columns([id_col, text_col])
@@ -2223,12 +2222,7 @@ def ppjoin_pairs(
             "doc_id": g["doc_id"].to_numpy(np.int64)[keep],
             "n": n[keep]})
 
-    prefix = (with_df.map_batches(
-        lambda b: b.assign(_dp=part_tag(b["doc_id"].to_numpy(np.int64), P)),
-        batch_format="pandas")
-        .groupby("_dp")
-        .map_groups(lambda g: prefix_part(g.drop(columns="_dp")),
-                    batch_format="pandas"))
+    prefix = partition_map(with_df, "doc_id", prefix_part, num_partitions=P)
 
     def cand_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["th", "n", "doc_id"], kind="mergesort")
@@ -2262,12 +2256,7 @@ def ppjoin_pairs(
             "doc_b": np.concatenate(dbs),
             "w": np.ones(sum(len(x) for x in das), dtype=np.int64)})
 
-    cands = (prefix.map_batches(
-        lambda b: b.assign(_tp=part_tag(b["th"].to_numpy(np.int64), P)),
-        batch_format="pandas")
-        .groupby("_tp")
-        .map_groups(lambda g: cand_part(g.drop(columns="_tp")),
-                    batch_format="pandas"))
+    cands = partition_map(prefix, "th", cand_part, num_partitions=P)
     # w = number of shared prefix tokens; the combine is the pair dedup
     pairs = keyed_combine(cands, ["doc_a", "doc_b"], ["w"], "sum", P)
 
@@ -2333,8 +2322,6 @@ def sorted_neighborhood_pairs(
     in-bucket (texts ride the sort — the SNM record IS the sort
     payload). Nothing corpus-scale touches the driver."""
     import ray
-
-    from .windows import part_tag
 
     def keyed(b: pd.DataFrame) -> pd.DataFrame:
         t = b[text_col].fillna("")

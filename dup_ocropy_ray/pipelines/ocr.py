@@ -6,7 +6,7 @@ Shape:
     docs ──explode media spans──► page rows
          ──attach_media: repartition (one page row per block), then a
            dict lookup in the ray.put broadcast store (task pool);
-           or, for a media Dataset, one sort-shuffle exchange of page
+           or, for a media Dataset, one partition_map exchange of page
            and media rows, then the repartition──► +page_png, mask_png
          ──PageProcessor (stateless tasks, one page each):
              binarize_png (B1-B6) ──{0,1} array──► segment_binary
@@ -14,7 +14,7 @@ Shape:
          ──LineRecognizerTask (task pool, model built once per worker
                                process)──► +text
     docs ──spans_to_union_rows──┐
-    page statuses ──────────────┼─► union ── groupby(doc_part).map_groups
+    page statuses ──────────────┼─► union ── partition_map on doc_id
     recognized lines ───────────┘        └─► reassembled docs + counters
 
 Every stage runs on the elastic task pool: no CPU is reserved for one
@@ -49,8 +49,6 @@ PAGE_BATCH_SIZE = 1
 # Big batches fill the recognizer's length buckets -> fewer per-timestep
 # python loops; ~2x less recognizer CPU than 64.
 LINE_BATCH_SIZE = 256
-# Hash buckets of the final reassembly shuffle.
-REASSEMBLY_PARTITIONS = 32
 
 
 def read_docs(path: str) -> rd.Dataset:
@@ -205,18 +203,14 @@ def ocr_pipeline(docs: rd.Dataset, media_store_ref, **kw) -> rd.Dataset:
     """Compose the full chain lazily; nothing materializes until consumed.
     One pass over the pixels: page accounting rides the line stream as
     marker rows (explode_lines(page_markers=True))."""
-    from ..stages.reassemble import addpart, reassemble_partition
+    from ..stages.reassemble import reassemble_partition
+    from .relational import partition_map
 
     rec = ocr_recognized_lines(docs, media_store_ref, **kw)
     rec_rows = rec.map_batches(lines_to_union_rows, batch_format="pyarrow")
     span_rows = docs.map_batches(spans_to_union_rows, batch_format="pyarrow")
-    union = span_rows.union(rec_rows)
-    union = union.map_batches(
-        addpart, fn_kwargs={"num_partitions": REASSEMBLY_PARTITIONS},
-        batch_format="pyarrow")
-    return union.groupby("doc_part").map_groups(
-        reassemble_partition, batch_format="pandas"
-    )
+    return partition_map(span_rows.union(rec_rows), "doc_id",
+                         reassemble_partition)
 
 
 def ocr_hocr(docs: rd.Dataset, media_store_ref, **kw) -> rd.Dataset:

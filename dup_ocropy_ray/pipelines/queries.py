@@ -20,7 +20,7 @@ import ray.data as rd
 from ..functions.edist import levenshtein, levenshtein_many, xlevenshtein
 from . import dedup, similarity, textstats
 from . import relational
-from .relational import broadcast_join, grouped_agg, topk
+from .relational import broadcast_join, grouped_agg, partition_map, topk
 
 
 def _read(sf_dir: str, table: str, columns=None) -> rd.Dataset:
@@ -496,12 +496,6 @@ def q_events_lag(sf_dir: str) -> pd.DataFrame:
     against the LAG window oracle."""
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
 
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[["event_id", "user_id", "ts"]].copy()
-        k = b["user_id"].to_numpy(np.int64)
-        b["_part"] = (k * 2654435761 % 2**32) % 32
-        return b
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
         us = g["ts"].astype("datetime64[us]").astype("int64")  # unit-exact µs
@@ -513,9 +507,7 @@ def q_events_lag(sf_dir: str) -> pd.DataFrame:
             "gap_us": gap.astype("int64").to_numpy(),
         })
 
-    out = (ev.map_batches(tag, batch_format="pandas")
-           .groupby("_part").map_groups(per_part, batch_format="pandas")
-           .to_pandas())
+    out = partition_map(ev, "user_id", per_part).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -571,20 +563,15 @@ def q_order_ranks(sf_dir: str) -> pd.DataFrame:
     functions come from two vectorized searchsorted calls per group
     (min-rank for ties, count-at-most for cume_dist) — no per-row
     window loop. Integer cents keep tie groups engine-exact."""
-    from ..functions import hashing
-    from .windows import part_tag
-
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_orderpriority", "o_totalprice"])
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
-        pr = b["o_orderpriority"].to_numpy(object)
         return pd.DataFrame({
             "o_orderkey": b["o_orderkey"].astype("int64"),
-            "o_orderpriority": pr,
+            "o_orderpriority": b["o_orderpriority"].to_numpy(object),
             "cents": np.floor(b["o_totalprice"].to_numpy(np.float64)
-                              * 100).astype("int64"),
-            "_p": part_tag(hashing.hash_strings(pr).view(np.int64), 16)})
+                              * 100).astype("int64")})
 
     def ranks(g: pd.DataFrame) -> pd.DataFrame:
         outs = []
@@ -602,11 +589,8 @@ def q_order_ranks(sf_dir: str) -> pd.DataFrame:
                 "cume_dist": np.round(at_most / n, 6)}))
         return pd.concat(outs, ignore_index=True)
 
-    out = (orders.map_batches(prep, batch_format="pandas")
-           .groupby("_p")
-           .map_groups(lambda g: ranks(g.drop(columns="_p")),
-                       batch_format="pandas")
-           .to_pandas())
+    out = partition_map(orders.map_batches(prep, batch_format="pandas"),
+                        "o_orderpriority", ranks).to_pandas()
     return out.sort_values("o_orderkey").reset_index(drop=True)
 
 
@@ -637,22 +621,19 @@ def q_order_ntile(sf_dir: str) -> pd.DataFrame:
         # per-batch partial sums, then ONE coarse hash shuffle — the
         # repo's standard keyed-aggregate shape (the native Ray groupby
         # aggregator pool measured 16s on this 60k-row input alone)
-        g = pd.DataFrame({
+        return pd.DataFrame({
             "l_orderkey": b.l_orderkey.astype("int64"),
             "cents": np.floor(
                 b.l_extendedprice.to_numpy(np.float64) * 100
             ).astype("int64"),
         }).groupby("l_orderkey", as_index=False)["cents"].sum()
-        g["_part"] = (g["l_orderkey"].to_numpy(np.int64)
-                      * 2654435761 % 2**32) % 64
-        return g
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("l_orderkey", as_index=False)["cents"].sum()
         return out.rename(columns={"cents": "total_cents"})
 
-    totals = (li.map_batches(partial, batch_format="pandas")
-              .groupby("_part").map_groups(combine, batch_format="pandas")
+    totals = (partition_map(li.map_batches(partial, batch_format="pandas"),
+                            "l_orderkey", combine)
               # group-scale (one row per order): pin it, or each scalar
               # probe below re-executes the whole groupby lineage
               .materialize())
@@ -1785,8 +1766,7 @@ def q_bloom_join(sf_dir: str) -> pd.DataFrame:
 
     out = keyed_combine(j.map_batches(prep, batch_format="pandas"),
                         ["pk", "o_orderpriority"],
-                        ["n_orders", "revenue_cents"], "sum",
-                        8).to_pandas()
+                        ["n_orders", "revenue_cents"], "sum").to_pandas()
     out = out[["o_orderpriority", "n_orders", "revenue_cents"]]
     return (out.astype({"n_orders": "int64", "revenue_cents": "int64"})
             .sort_values("o_orderpriority").reset_index(drop=True))
@@ -1819,7 +1799,7 @@ def q_big_order_customers(sf_dir: str) -> pd.DataFrame:
                 "int64")})
 
     big = keyed_combine(li.map_batches(prep, batch_format="pandas"),
-                        "l_orderkey", ["sum_qty"], "sum", 32)
+                        "l_orderkey", ["sum_qty"], "sum")
     big = big.filter(lambda r: r["sum_qty"] > 300)
 
     orders = _read(sf_dir, "orders",
@@ -4453,12 +4433,6 @@ def q_merge_upsert(sf_dir: str) -> pd.DataFrame:
     union = (docs.map_batches(base_rows, batch_format="pandas")
              .union(docs.map_batches(log_rows, batch_format="pandas")))
 
-    def bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        k = b["doc_id"].to_numpy(np.int64)
-        b["_part"] = (k * 2654435761 % 2**32) % 64
-        return b
-
     def resolve(g: pd.DataFrame) -> pd.DataFrame:
         latest = (g.sort_values(["doc_id", "seq"], ascending=[True, False])
                   .groupby("doc_id", as_index=False).head(1))
@@ -4466,9 +4440,7 @@ def q_merge_upsert(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"doc_id": keep["doc_id"].astype("int64"),
                              "text": keep["text"]})
 
-    out = (union.map_batches(bucket, batch_format="pandas")
-           .groupby("_part").map_groups(resolve, batch_format="pandas")
-           .to_pandas())
+    out = partition_map(union, "doc_id", resolve).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -4809,7 +4781,6 @@ def q_balance_classes(sf_dir: str) -> pd.DataFrame:
     the rows themselves — fully oracle-checked via QUALIFY."""
     from ..functions import hashing
     from .relational import keyed_combine
-    from .windows import part_tag
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
 
@@ -4821,16 +4792,14 @@ def q_balance_classes(sf_dir: str) -> pd.DataFrame:
             "lang": t, "n": np.ones(len(b), dtype=np.int64)})
 
     counts = keyed_combine(ds.map_batches(cnt, batch_format="pandas"),
-                           ["lk", "lang"], ["n"], "sum", 8).to_pandas()
+                           ["lk", "lang"], ["n"], "sum").to_pandas()
     kmin = int(counts["n"].min())
 
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
+    def rank(b: pd.DataFrame) -> pd.DataFrame:
         d = b["doc_id"].to_numpy(np.int64)
-        t = b["lang"].to_numpy(object)
         return pd.DataFrame({
-            "doc_id": d, "lang": t,
-            "rk": (d * 2654435761) % 4294967296,
-            "_p": part_tag(hashing.hash_strings(t).view(np.int64), 8)})
+            "doc_id": d, "lang": b["lang"].to_numpy(object),
+            "rk": (d * 2654435761) % 4294967296})
 
     def cut(g: pd.DataFrame) -> pd.DataFrame:
         outs = []
@@ -4839,11 +4808,8 @@ def q_balance_classes(sf_dir: str) -> pd.DataFrame:
             outs.append(gg[["doc_id", "lang"]])
         return pd.concat(outs, ignore_index=True)
 
-    out = (ds.map_batches(tag, batch_format="pandas")
-           .groupby("_p")
-           .map_groups(lambda g: cut(g.drop(columns="_p")),
-                       batch_format="pandas")
-           .to_pandas())
+    out = partition_map(ds.map_batches(rank, batch_format="pandas"),
+                        "lang", cut).to_pandas()
     return (out.astype({"doc_id": "int64"})
             .sort_values("doc_id").reset_index(drop=True))
 
@@ -4978,8 +4944,7 @@ def q_purge_user(sf_dir: str) -> pd.DataFrame:
 
         outdf = keyed_combine(purged.map_batches(prep,
                                                  batch_format="pandas"),
-                              ["tk", "event_type"], ["n"], "sum",
-                              8).to_pandas()
+                              ["tk", "event_type"], ["n"], "sum").to_pandas()
         outdf = outdf[["event_type", "n"]].astype({"n": "int64"})
         outdf["rows_removed"] = np.int64(man["rows_removed"])
         return outdf.sort_values("event_type").reset_index(drop=True)
@@ -5073,8 +5038,8 @@ def q_mannwhitney(sf_dir: str) -> pd.DataFrame:
             "n_de": (b["lang"] == "de").to_numpy(np.int64)})
 
     hist = keyed_combine(docs.map_batches(prep, batch_format="pandas"),
-                         "v", ["n_en", "n_de"], "sum",
-                         16).to_pandas().sort_values("v")
+                         "v", ["n_en", "n_de"], "sum"
+                         ).to_pandas().sort_values("v")
     cnt = (hist["n_en"] + hist["n_de"]).to_numpy(np.int64)
     below = np.concatenate([[0], np.cumsum(cnt)[:-1]])
     two_avg_rank = 2 * below + cnt + 1  # 2 x average rank per value
@@ -5120,9 +5085,7 @@ def q_theilsen_trend(sf_dir: str) -> pd.DataFrame:
     quantile_disc rule, so the self-join twin matches exactly."""
     import math
 
-    from ..functions import hashing
     from .relational import keyed_combine
-    from .windows import part_tag
 
     ev = _read(sf_dir, "events", ["ts", "event_type"])
 
@@ -5136,7 +5099,7 @@ def q_theilsen_trend(sf_dir: str) -> pd.DataFrame:
             "n": np.ones(len(b), dtype=np.int64)})
 
     hourly = keyed_combine(ev.map_batches(prep, batch_format="pandas"),
-                           ["hour", "event_type"], ["n"], "sum", 32)
+                           ["hour", "event_type"], ["n"], "sum")
 
     def slopes(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -5154,15 +5117,7 @@ def q_theilsen_trend(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame(rows, columns=["event_type", "n_pairs",
                                            "slope_per_hour"])
 
-    out = (hourly.map_batches(
-        lambda b: b.assign(_p=part_tag(
-            hashing.hash_strings(b["event_type"].to_numpy(object))
-            .view(np.int64), 8)),
-        batch_format="pandas")
-        .groupby("_p")
-        .map_groups(lambda g: slopes(g.drop(columns="_p")),
-                    batch_format="pandas")
-        .to_pandas())
+    out = partition_map(hourly, "event_type", slopes).to_pandas()
     return (out.astype({"n_pairs": "int64"})
             .sort_values("event_type").reset_index(drop=True))
 
@@ -5194,9 +5149,7 @@ def q_holt_forecast(sf_dir: str) -> pd.DataFrame:
     state + 1h/24h forecasts. The twin replays the identical
     recursion in a recursive CTE — same IEEE op order, so values
     match bit-for-bit before round(,6)."""
-    from ..functions import hashing
     from .relational import keyed_combine
-    from .windows import part_tag
 
     ev = _read(sf_dir, "events", ["ts", "event_type"])
 
@@ -5212,8 +5165,7 @@ def q_holt_forecast(sf_dir: str) -> pd.DataFrame:
             "n": np.ones(len(b), dtype=np.int64)})
 
     hourly = keyed_combine(ev.map_batches(prep, batch_format="pandas"),
-                           ["hour", "event_type"], ["n"], "sum",
-                           32).materialize()
+                           ["hour", "event_type"], ["n"], "sum").materialize()
     bounds = hourly.map_batches(
         lambda b: pd.DataFrame({"lo": [b["hour"].min()],
                                 "hi": [b["hour"].max()]}),
@@ -5238,15 +5190,7 @@ def q_holt_forecast(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame(rows, columns=["event_type", "level",
                                            "trend", "fc_1h", "fc_24h"])
 
-    out = (hourly.map_batches(
-        lambda b: b.assign(_p=part_tag(
-            hashing.hash_strings(b["event_type"].to_numpy(object))
-            .view(np.int64), 8)),
-        batch_format="pandas")
-        .groupby("_p")
-        .map_groups(lambda g: smooth(g.drop(columns="_p")),
-                    batch_format="pandas")
-        .to_pandas())
+    out = partition_map(hourly, "event_type", smooth).to_pandas()
     return out.sort_values("event_type").reset_index(drop=True)
 
 
@@ -5327,9 +5271,8 @@ def q_graph_agg(sf_dir: str) -> pd.DataFrame:
 
     tagged = j.map_batches(prep, batch_format="pandas").materialize()
     sums = keyed_combine(tagged, "src", ["deg_out", "sum_chars"],
-                         "sum", 16).to_pandas()
-    maxs = keyed_combine(tagged, "src", ["max_chars"], "max",
-                         16).to_pandas()
+                         "sum").to_pandas()
+    maxs = keyed_combine(tagged, "src", ["max_chars"], "max").to_pandas()
     out = sums.merge(maxs[["src", "max_chars"]], on="src")
     out["nbr_mean_chars"] = (out["sum_chars"]
                              // out["deg_out"]).astype("int64")
@@ -5385,7 +5328,7 @@ def q_frequent_pairs(sf_dir: str) -> pd.DataFrame:
             "tok": a, "n": np.ones(len(a), dtype=np.int64)})
 
     freq = keyed_combine(ds.map_batches(singles, batch_format="pandas"),
-                         ["tk", "tok"], ["n"], "sum", 32).to_pandas()
+                         ["tk", "tok"], ["n"], "sum").to_pandas()
     fset = sorted(freq.loc[freq["n"] >= MINSUP, "tok"])
     f_ref = ray.put(set(fset))
 
@@ -5415,8 +5358,8 @@ def q_frequent_pairs(sf_dir: str) -> pd.DataFrame:
             "support": pd.Series(list(cnt.values()), dtype="int64")})
 
     out = keyed_combine(ds.map_batches(pairs, batch_format="pandas"),
-                        ["pk", "item_a", "item_b"], ["support"], "sum",
-                        32).to_pandas()
+                        ["pk", "item_a", "item_b"], ["support"],
+                        "sum").to_pandas()
     out = out.loc[out["support"] >= MINSUP,
                   ["item_a", "item_b", "support"]]
     return (out.astype({"support": "int64"})
@@ -6328,8 +6271,7 @@ def q_dp_counts(sf_dir: str) -> pd.DataFrame:
             "n": np.ones(len(b), dtype=np.int64)})
 
     counts = keyed_combine(ev.map_batches(prep, batch_format="pandas"),
-                           ["tk", "event_type"], ["n"], "sum",
-                           8).to_pandas()
+                           ["tk", "event_type"], ["n"], "sum").to_pandas()
     counts = counts.sort_values("event_type").reset_index(drop=True)
     rank = np.arange(1, len(counts) + 1, dtype=np.int64)
     u = ((rank * 2654435761) % 4294967296) / 4294967296.0
@@ -6411,7 +6353,7 @@ def q_bootstrap_ci(sf_dir: str) -> pd.DataFrame:
 
     parts = keyed_combine(
         ev.map_batches(partial, batch_format="pandas"),
-        ["b", "event_type"], ["sw", "swc"], "sum", 32).to_pandas()
+        ["b", "event_type"], ["sw", "swc"], "sum").to_pandas()
     parts = parts[parts["sw"] > 0]
     parts["m"] = parts["swc"].astype("float64") / parts["sw"].astype(
         "float64")
@@ -6491,7 +6433,7 @@ def q_ab_cuped(sf_dir: str) -> pd.DataFrame:
 
     per_user = keyed_combine(
         ev.map_batches(prep, batch_format="pandas"),
-        "user_id", ["x", "y"], "sum", 64)
+        "user_id", ["x", "y"], "sum")
 
     def moments(b: pd.DataFrame) -> pd.DataFrame:
         v = b["user_id"].to_numpy(np.int64) % 2
@@ -6588,7 +6530,7 @@ def q_conformal_bounds(sf_dir: str) -> pd.DataFrame:
             lambda b: b[b["cal"]].assign(n=np.int64(1))[
                 ["tk", "event_type", "n", "cents"]],
             batch_format="pandas"),
-        ["tk", "event_type"], ["n", "cents"], "sum", 8).to_pandas()
+        ["tk", "event_type"], ["n", "cents"], "sum").to_pandas()
     cal_mean["mean_cents"] = (cal_mean["cents"]
                               // cal_mean["n"]).astype("int64")
     mean_map = dict(zip(cal_mean["event_type"], cal_mean["mean_cents"]))
@@ -6632,7 +6574,7 @@ def q_conformal_bounds(sf_dir: str) -> pd.DataFrame:
 
     cov = keyed_combine(base.map_batches(cover, batch_format="pandas"),
                         ["tk", "event_type"], ["n_test", "n_inside"],
-                        "sum", 8).to_pandas()
+                        "sum").to_pandas()
     out = cov.merge(cal_mean[["event_type", "mean_cents"]],
                     on="event_type")
     out["qhat_cents"] = out["event_type"].map(qmap).astype("int64")
@@ -6797,7 +6739,7 @@ def q_encoding_advisor(sf_dir: str) -> pd.DataFrame:
 
         return int(keyed_combine(
             ev.map_batches(kv, batch_format="pandas"),
-            "k", ["one"], "sum", 16).count())
+            "k", ["one"], "sum").count())
     rows = []
     n_total = int(sums["n"].sum())
     for c in cols:
@@ -6885,7 +6827,7 @@ def q_dataset_card(sf_dir: str) -> pd.DataFrame:
 
     distinct_texts = int(keyed_combine(
         docs.map_batches(text_hash, batch_format="pandas"),
-        "th", ["one"], "sum", 16).count())
+        "th", ["one"], "sum").count())
     rows.append(("docs_distinct_texts", distinct_texts))
 
     ev = _read(sf_dir, "events", ["user_id", "event_type"])
@@ -6904,7 +6846,7 @@ def q_dataset_card(sf_dir: str) -> pd.DataFrame:
 
     rows.append(("events_distinct_users", int(keyed_combine(
         ev.map_batches(uid, batch_format="pandas"),
-        "k", ["one"], "sum", 16).count())))
+        "k", ["one"], "sum").count())))
 
     def tid(b: pd.DataFrame) -> pd.DataFrame:
         t = b["event_type"].to_numpy(object)
@@ -6915,7 +6857,7 @@ def q_dataset_card(sf_dir: str) -> pd.DataFrame:
 
     rows.append(("events_distinct_types", int(keyed_combine(
         ev.map_batches(tid, batch_format="pandas"),
-        "k", ["one"], "sum", 8).count())))
+        "k", ["one"], "sum").count())))
 
     orders = _read(sf_dir, "orders", ["o_totalprice"])
 
@@ -8176,12 +8118,6 @@ def q_event_paths(sf_dir: str) -> pd.DataFrame:
     output is one metadata-width row per user."""
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[["event_id", "user_id", "ts", "event_type"]].copy()
-        k = b["user_id"].to_numpy(np.int64)
-        b["_part"] = (k * 2654435761 % 2**32) % 32
-        return b
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
         g = g.groupby("user_id", sort=False).head(8)
@@ -8194,9 +8130,7 @@ def q_event_paths(sf_dir: str) -> pd.DataFrame:
             "n_steps": n.to_numpy(np.int64),
         })
 
-    out = (ev.map_batches(tag, batch_format="pandas")
-           .groupby("_part").map_groups(per_part, batch_format="pandas")
-           .to_pandas())
+    out = partition_map(ev, "user_id", per_part).to_pandas()
     return out.sort_values("user_id").reset_index(drop=True)
 
 
@@ -8689,12 +8623,6 @@ def _scd2_history_ds(docs: "rd.Dataset") -> "rd.Dataset":
         ]
         return pd.concat(frames, ignore_index=True)
 
-    def bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        k = b["doc_id"].to_numpy(np.int64)
-        b["_part"] = (k * 2654435761 % 2**32) % 64
-        return b
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["doc_id", "seq"])
         nxt = g.groupby("doc_id", sort=False)["seq"].shift(-1)
@@ -8706,9 +8634,8 @@ def _scd2_history_ds(docs: "rd.Dataset") -> "rd.Dataset":
             "is_current": nxt[keep].isna().to_numpy(),
         })
 
-    return (docs.map_batches(ops_rows, batch_format="pandas")
-            .map_batches(bucket, batch_format="pandas")
-            .groupby("_part").map_groups(per_part, batch_format="pandas"))
+    return partition_map(docs.map_batches(ops_rows, batch_format="pandas"),
+                         "doc_id", per_part)
 
 
 SQL_SCD2_HISTORY = """
@@ -9409,12 +9336,6 @@ def q_time_travel(sf_dir: str) -> pd.DataFrame:
     union = (docs.map_batches(base_rows, batch_format="pandas")
              .union(docs.map_batches(log_rows, batch_format="pandas")))
 
-    def bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["_part"] = (b["doc_id"].to_numpy(np.int64)
-                      * 2654435761 % 2**32) % 64
-        return b
-
     def asof_partials(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
         srt = g.sort_values(["doc_id", "seq"], ascending=[True, False])
@@ -9429,10 +9350,7 @@ def q_time_travel(sf_dir: str) -> pd.DataFrame:
             })
         return pd.DataFrame(rows)
 
-    parts = (union.map_batches(bucket, batch_format="pandas")
-             .groupby("_part").map_groups(asof_partials,
-                                          batch_format="pandas")
-             .to_pandas())
+    parts = partition_map(union, "doc_id", asof_partials).to_pandas()
     out = (parts.groupby("version", as_index=False)
            .agg(n_rows=("n_rows", "sum"), sum_len=("sum_len", "sum"),
                 sum_key=("sum_key", "sum")))
@@ -9934,23 +9852,15 @@ def q_transition_matrix(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id",
                                   "event_type"])
 
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        from .windows import part_tag
-
-        k = b["user_id"].to_numpy(np.int64)
+    def project(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
-            "part": part_tag(k, 32),
-            "k": k,
+            "k": b["user_id"].to_numpy(np.int64),
             "ts": b["ts"],
             "eid": b["event_id"].to_numpy(np.int64),
             "et": b["event_type"],
         })
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({"src": pd.Series([], dtype=object),
-                                 "dst": pd.Series([], dtype=object),
-                                 "n": pd.Series([], dtype="int64")})
         k = g["k"].to_numpy(np.int64)
         ts = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
         eid = g["eid"].to_numpy(np.int64)
@@ -9963,9 +9873,8 @@ def q_transition_matrix(sf_dir: str) -> pd.DataFrame:
         out = df.groupby(["src", "dst"], as_index=False).size()
         return out.rename(columns={"size": "n"})
 
-    parts = (ds.map_batches(tag, batch_format="pandas")
-             .groupby("part").map_groups(per_part, batch_format="pandas")
-             .to_pandas())
+    parts = partition_map(ds.map_batches(project, batch_format="pandas"),
+                          "k", per_part).to_pandas()
     out = (parts.groupby(["src", "dst"], as_index=False)
            .agg(n=("n", "sum")))
     out["n"] = out["n"].astype("int64")
@@ -10331,14 +10240,7 @@ def q_changepoint(sf_dir: str) -> pd.DataFrame:
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         return hourly_partials(b, "event_type", "ts")
 
-    empty = pd.DataFrame({
-        "event_type": pd.Series([], dtype=object),
-        "split_hour": pd.Series([], dtype="datetime64[us]"),
-        "d_stat": pd.Series([], dtype="int64")})
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return empty.copy()
         keys, kid, hr, merged, gstart = merge_hour_partials(g, ("n",))
         cnt = merged["n"]
         cs = np.cumsum(cnt)
@@ -10364,9 +10266,8 @@ def q_changepoint(sf_dir: str) -> pd.DataFrame:
             "split_hour": (hr[first[keep]] * HOUR).astype("datetime64[us]"),
             "d_stat": dmax[keep].astype("int64")})
 
-    out = (ds.map_batches(partial, batch_format="pandas")
-           .groupby("part").map_groups(per_part, batch_format="pandas")
-           .to_pandas())
+    out = partition_map(ds.map_batches(partial, batch_format="pandas"),
+                        "k", per_part).to_pandas()
     return out.sort_values("event_type").reset_index(drop=True)
 
 

@@ -7,6 +7,9 @@
   in an actor pool — no shuffle (ray_guide "Joins and lookups").
 - ``topk``: per-block top-k then a tiny driver-side final merge — the
   global sort never happens.
+- ``partition_map``: the one keyed exchange every co-locating operator
+  in the package runs on (hash tag, sort shuffle, one UDF call per
+  partition).
 """
 
 from __future__ import annotations
@@ -21,36 +24,98 @@ import ray
 import ray.data as rd
 
 
+PART_COL = "_part"
+
+
+def partition_tags(frame: "pd.DataFrame | pa.Table", keys: "list[str]",
+                   num_partitions: int) -> np.ndarray:
+    """THE partition hash of the package: int64
+    ``hash_pandas_object(frame[keys], index=False) % num_partitions``.
+    Arrow tables hash through their key columns' pandas form. Integer
+    and bool key columns hash as float64: an int column is float64 in
+    any pandas block that holds one of its nulls, so without this the
+    same key would hash two ways across blocks. Equal keys always get
+    equal tags; unequal keys may share one."""
+    if isinstance(frame, pa.Table):
+        frame = frame.select(keys).to_pandas()
+    kf = frame[keys]
+    ints = [c for c in keys if kf[c].dtype.kind in "biu"]
+    if ints:
+        kf = kf.astype(dict.fromkeys(ints, "float64"))
+    h = pd.util.hash_pandas_object(kf, index=False).to_numpy(np.uint64)
+    return (h % np.uint64(num_partitions)).astype(np.int64)
+
+
+def partition_map(ds: rd.Dataset, keys: "str | Sequence[str]", fn, *,
+                  num_partitions: "int | None" = None,
+                  batch_format: str = "pandas") -> rd.Dataset:
+    """THE keyed exchange: every row is tagged ``_part =
+    partition_tags(block, keys, n)``, ONE ``groupby("_part").map_groups``
+    runs on Ray's default sort shuffle, and ``fn`` is called once per
+    partition with all of that partition's rows (``_part`` dropped).
+    ``n`` is ``num_partitions`` or, by default,
+    ``tuning.suggested_partitions()``. Partitions and not
+    ``groupby(key)``: per-group UDF overhead measured 4-5x (see
+    ``windows.asof_join_aggregate``), so ``fn`` handles many keys at
+    once, vectorized. Ray calls ``fn`` for non-empty partitions only.
+
+    Key contract: every side of a union that must co-locate carries its
+    key under the same column names with the same dtypes (int widths
+    and nulls in int columns aside, see ``partition_tags``). The tag
+    runs with ``batch_format=None``, so each block keeps its format:
+    Arrow rows stay Arrow, pandas rows never round-trip through Arrow.
+    So the sides of a union must also share one block format (Ray's
+    sort cannot sample a mix of pandas and Arrow blocks).
+    The tag operator is named ``tag_<fn name>`` and the map operator
+    keeps ``fn``'s name in ``Dataset.stats()``."""
+    from ..tuning import suggested_partitions
+
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    n = num_partitions or suggested_partitions()
+
+    def tag(block):
+        part = partition_tags(block, keys, n)
+        if isinstance(block, pa.Table):
+            return block.append_column(PART_COL, pa.array(part))
+        return block.assign(**{PART_COL: part})
+
+    def run(g):
+        if isinstance(g, pa.Table):
+            return fn(g.drop_columns([PART_COL]))
+        return fn(g.drop(columns=PART_COL))
+
+    tag.__name__ = f"tag_{fn.__name__}"
+    run.__name__ = fn.__name__
+    return (ds.map_batches(tag, batch_format=None)
+            .groupby(PART_COL).map_groups(run, batch_format=batch_format))
+
+
 def keyed_combine(ds: rd.Dataset, keys: "str | list[str]",
                   cols: "list[str]", op: str = "sum",
-                  num_partitions: int = 64) -> rd.Dataset:
+                  num_partitions: "int | None" = None) -> rd.Dataset:
     """THE keyed-combine shape for unbounded key cardinality, as a
     Dataset (contrast grouped_agg, whose result lands on the driver):
-    per-batch pandas partial + ONE coarse hash-bucket shuffle +
-    per-partition final. Column names are preserved (no ``sum(col)``
-    renames). The native Dataset groupby aggregator measured ~12 s per
-    round on a 500-key table at 32 CPUs (the order_ntile pathology in
-    the round-3 notes); this form runs the identical reduction in
-    ~0.2 s. ``op`` must be associative-idempotent-safe for re-applying
-    to partials (sum/min/max). The first key column must be int64 —
-    it feeds the partition tag."""
-    from .windows import part_tag
-
+    per-batch pandas partial + ONE ``partition_map`` exchange on the
+    keys + per-partition final. Column names are preserved (no
+    ``sum(col)`` renames). The native Dataset groupby aggregator
+    measured ~12 s per round on a 500-key table at 32 CPUs (the
+    order_ntile pathology in the round-3 notes); this form runs the
+    identical reduction in ~0.2 s. ``op`` must be
+    associative-idempotent-safe for re-applying to partials
+    (sum/min/max)."""
     keys = [keys] if isinstance(keys, str) else list(keys)
 
     def part(b: pd.DataFrame) -> pd.DataFrame:
-        g = getattr(b.groupby(keys, as_index=False, sort=False)[cols],
-                    op)()
-        g["_kc"] = part_tag(g[keys[0]].to_numpy(np.int64),
-                            num_partitions)
-        return g
+        return getattr(b.groupby(keys, as_index=False, sort=False)[cols],
+                       op)()
 
     def fin(g: pd.DataFrame) -> pd.DataFrame:
         return getattr(g.groupby(keys, as_index=False, sort=False)[cols],
                        op)()
 
-    return (ds.map_batches(part, batch_format="pandas", batch_size=65536)
-            .groupby("_kc").map_groups(fin, batch_format="pandas"))
+    return partition_map(
+        ds.map_batches(part, batch_format="pandas", batch_size=65536),
+        keys, fin, num_partitions=num_partitions)
 
 
 def grouped_agg(
@@ -162,11 +227,11 @@ def grouped_topk(
     by: Sequence[str] | str,
     k: int,
     ascending: bool | Sequence[bool] = False,
-    num_partitions: int = 32,
+    num_partitions: int | None = None,
 ) -> rd.Dataset:
     """Top-k rows PER GROUP without a global sort: each batch prunes to
     at most k rows per group it sees (vectorized sort + groupby-head),
-    then ONE group-keyed bucket shuffle merges the prunes — exact,
+    then ONE group-keyed ``partition_map`` merges the prunes — exact,
     because a row in a group's true top-k survives every local prune.
     Shuffle traffic is O(k x groups-per-batch x batches), not corpus
     rows; include a tie-break column in ``by`` for a deterministic
@@ -180,22 +245,9 @@ def grouped_topk(
         return (batch.sort_values(by, ascending=ascending, kind="stable")
                 .groupby(group_keys, sort=False, dropna=False).head(k))
 
-    def tag(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        h = pd.util.hash_pandas_object(batch[group_keys], index=False)
-        batch["_part"] = (h.to_numpy(dtype="uint64")
-                          % np.uint64(num_partitions)).astype("int64")
-        return batch
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        return prune(g).drop(columns=["_part"])
-
-    return (
-        ds.map_batches(prune, batch_format="pandas", batch_size=262144)
-        .map_batches(tag, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return partition_map(
+        ds.map_batches(prune, batch_format="pandas", batch_size=262144),
+        group_keys, prune, num_partitions=num_partitions)
 
 
 def bucket_join(
@@ -213,11 +265,13 @@ def bucket_join(
 ) -> rd.Dataset:
     """Large x large join on the repo's fixed-bucket shuffle
     pattern: both sides are tagged into ONE union keyed by
-    hash(key) % num_partitions, and each partition runs a single
-    C-level pandas merge. Functionally the same exchange as a native
-    hash join, but with NO aggregator actor pool — per-partition work
-    is plain tasks, so wall time stays flat in long-lived sessions
-    where actor-pool startup competes with accumulated workers
+    ``partition_tags`` of the key, and each partition runs a single
+    C-level pandas merge (its own tag rather than ``partition_map``,
+    because hot keys are salted onto partitions of their own).
+    Functionally the same exchange as a native hash join, but with NO
+    aggregator actor pool — per-partition work is plain tasks, so wall
+    time stays flat in long-lived sessions where actor-pool startup
+    competes with accumulated workers
     (measured: the native ``Dataset.join`` queries are bimodal 3s/30s+
     late in a bench session; this stays ~1-2s).
 
@@ -309,11 +363,8 @@ def bucket_join(
 
     def _tag(side: int, key_col: str, rename: dict | None):
         def f(t: pa.Table) -> pa.Table:
-            key = t.column(key_col)
-            kpd = key.to_pandas()
-            h = pd.util.hash_pandas_object(
-                kpd, index=False).to_numpy(dtype="uint64")
-            part = (h % np.uint64(num_partitions)).astype(np.int64)
+            part = partition_tags(t.select([key_col]), [key_col],
+                                  num_partitions)
             cols = {}
             present = {(rename or {}).get(c, c): t.column(c)
                        for c in t.column_names}
@@ -330,7 +381,8 @@ def bucket_join(
                 [cols[n] for n in target.names], schema=target)
             if not hot_list:
                 return out
-            hot, idx_all = _hot_lookup(kpd.to_numpy())
+            hot, idx_all = _hot_lookup(
+                t.column(key_col).to_pandas().to_numpy())
             if not hot.any():
                 return out
             base = np.int64(num_partitions)
@@ -440,13 +492,14 @@ def bucket_join(
 
 def grouped_quantiles(ds: rd.Dataset, key: str, val: str,
                       qs: Sequence[float] = (0.5, 0.9, 0.99),
-                      num_partitions: int = 32,
+                      num_partitions: int | None = None,
                       rule: str = "disc") -> pd.DataFrame:
-    """EXACT per-group quantiles (telemetry p50/p90/p99): one key-hash
-    shuffle co-locates each group, then a single in-partition sort +
-    index selection per group. ``rule="disc"`` is DuckDB's
-    ``quantile_disc`` — sorted[max(ceil(q*n) - 1, 0)]; ``rule="cont"``
-    is ``quantile_cont``'s linear interpolation — with h = q*(n-1),
+    """EXACT per-group quantiles (telemetry p50/p90/p99): one
+    ``partition_map`` exchange on the key co-locates each group, then a
+    single in-partition sort + index selection per group.
+    ``rule="disc"`` is DuckDB's ``quantile_disc`` —
+    sorted[max(ceil(q*n) - 1, 0)]; ``rule="cont"`` is
+    ``quantile_cont``'s linear interpolation — with h = q*(n-1),
     (ceil(h)-h)*v[floor(h)] + (h-floor(h))*v[ceil(h)] in that exact
     IEEE evaluation order, so either SQL twin matches value-for-value.
     Driver sees groups x quantiles rows.
@@ -456,16 +509,11 @@ def grouped_quantiles(ds: rd.Dataset, key: str, val: str,
     the mergeable sampled_quantiles sketch (pipelines/sketches.py)."""
     import math
 
-    from ..functions import hashing
-
     if rule not in ("disc", "cont"):
         raise ValueError(f"grouped_quantiles: unknown rule {rule!r}")
 
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[[key, val]].copy()
-        h = hashing.hash_strings(b[key].astype(str).to_numpy(dtype=object))
-        b["_part"] = (h % np.uint64(num_partitions)).astype(np.int64)
-        return b
+    def project(b: pd.DataFrame) -> pd.DataFrame:
+        return b[[key, val]]
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         rows = {key: [], "q": [], "value": []}
@@ -485,9 +533,9 @@ def grouped_quantiles(ds: rd.Dataset, key: str, val: str,
                 rows["value"].append(float(out))
         return pd.DataFrame(rows)
 
-    out = (ds.map_batches(tag, batch_format="pandas", batch_size=65536)
-             .groupby("_part").map_groups(per_part, batch_format="pandas")
-             .to_pandas())
+    out = partition_map(
+        ds.map_batches(project, batch_format="pandas", batch_size=65536),
+        key, per_part, num_partitions=num_partitions).to_pandas()
     return out.sort_values([key, "q"]).reset_index(drop=True)
 
 
@@ -522,7 +570,7 @@ def detect_hot_keys(ds: rd.Dataset, col: str, frac: float = 0.01,
 
 
 def profile_table(ds: rd.Dataset, columns: Sequence[str],
-                  num_partitions: int = 32) -> pd.DataFrame:
+                  num_partitions: int | None = None) -> pd.DataFrame:
     """Column-level data profiling (the ingest data-quality gate):
     per column — row count, null count, EXACT distinct count, and
     lexicographic min/max of the string form (string form unifies
@@ -532,15 +580,14 @@ def profile_table(ds: rd.Dataset, columns: Sequence[str],
     Scale shape: counts and min/max come from per-batch partials (one
     row per batch, driver-tiny reduce). Exact distincts need a global
     dedup — per batch each column emits its LOCAL distinct string
-    values tagged (col, value), then ONE value-hash shuffle co-locates
-    duplicates across batches and each partition counts its distinct
-    survivors; the driver sums columns x partitions cell counts. The
-    exchanged rows are per-batch-distinct only — a low-cardinality
-    column ships a handful of values per batch regardless of row
-    count. (At text-scale cardinalities swap in the HLL sketch from
-    sketches.py; exactness here keeps the oracle value-for-value.)"""
-    from ..functions import hashing
-
+    values tagged (col, value), then ONE ``partition_map`` on the value
+    co-locates duplicates across batches and each partition counts its
+    distinct survivors; the caller sums columns x partitions cell
+    counts. The exchanged rows are per-batch-distinct only — a
+    low-cardinality column ships a handful of values per batch
+    regardless of row count. (At text-scale cardinalities swap in the
+    HLL sketch from sketches.py; exactness here keeps the oracle
+    value-for-value.)"""
     cols = list(columns)
 
     def stats_part(b: pd.DataFrame) -> pd.DataFrame:
@@ -579,19 +626,16 @@ def profile_table(ds: rd.Dataset, columns: Sequence[str],
             u = b[c].dropna().astype(str).unique()
             outs.append(pd.DataFrame({
                 "cid": np.full(len(u), j, dtype=np.int64), "v": u}))
-        out = pd.concat(outs, ignore_index=True)
-        h = hashing.hash_strings(out["v"].to_numpy(dtype=object))
-        out["_part"] = (h % np.uint64(num_partitions)).astype(np.int64)
-        return out
+        return pd.concat(outs, ignore_index=True)
 
     def count_shard(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["cid", "v"]).groupby(
             "cid", sort=False).size().reset_index(name="nd")
         return d
 
-    nd = (ds.map_batches(distinct_part, batch_format="pandas",
-                         batch_size=65536)
-          .groupby("_part").map_groups(count_shard, batch_format="pandas")
+    nd = (partition_map(ds.map_batches(distinct_part, batch_format="pandas",
+                                       batch_size=65536),
+                        "v", count_shard, num_partitions=num_partitions)
           .to_pandas()
           .groupby("cid", as_index=False)["nd"].sum())
     nd["column"] = nd["cid"].map(dict(enumerate(cols)))

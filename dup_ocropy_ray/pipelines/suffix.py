@@ -208,7 +208,13 @@ def suffix_array(docs: rd.Dataset, text_col: str = "text",
     Dataset — ``rank`` is the suffix's position in lexicographic
     order — and n). Materialized per round to keep lineage flat; the
     loop raises if ranks fail to separate within the doubling bound
-    (impossible unless the rank table was corrupted)."""
+    (impossible unless the rank table was corrupted).
+
+    Tokens are NUL-escaped first (``corpus_tokens``), so for tokens
+    holding ``\\x00`` or ``\\x01`` the suffix order follows the escaped
+    bytes and can differ from the true lexicographic order that
+    ``suffix_array_ref`` gives. Equality classes, and with them every
+    dedup result, are unaffected."""
     toks, n = corpus_tokens(docs, text_col, id_col)
     if n == 0:
         return (rd.from_pandas(pd.DataFrame({

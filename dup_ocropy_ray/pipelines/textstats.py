@@ -1279,7 +1279,7 @@ def nb_classifier(ds: rd.Dataset, label_col: str = "lang",
 
     import pyarrow as pa
 
-    from .relational import bucket_join
+    from .relational import bucket_join, partition_map
 
     # -- pass 0 (metadata-scale): class list + doc-count priors
     def lang_partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -1397,16 +1397,9 @@ def nb_classifier(ds: rd.Dataset, label_col: str = "lang",
             out[d] = np.int64(0)
         return out
 
-    def addpart(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["_part"] = (b["doc_id"].to_numpy(np.uint64)
-                      % np.uint64(64)).astype(np.int64)
-        return b
-
     union = (joined.map_batches(contrib, batch_format="pandas")
              .union(ds.map_batches(base_rows, batch_format="pandas",
-                                   batch_size=8192))
-             .map_batches(addpart, batch_format="pandas"))
+                                   batch_size=8192)))
 
     def per_doc(g: pd.DataFrame) -> pd.DataFrame:
         agg = (g.groupby("doc_id", sort=False, as_index=False)
@@ -1428,8 +1421,7 @@ def nb_classifier(ds: rd.Dataset, label_col: str = "lang",
             "pred_" + label_col: np.array(classes, object)[pred],
         })
 
-    out = (union.groupby("_part").map_groups(per_doc, batch_format="pandas")
-           .to_pandas())
+    out = partition_map(union, "doc_id", per_doc).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 

@@ -1,13 +1,14 @@
 """Ordered-window operators Ray Data lacks natively: gap-based
 sessionization, per-key rolling windows, and an as-of join.
 
-All three share one partitioning assumption: rows for a key fit in one
-group (per-user event history, per-customer order history). Each is a
-``groupby(key).map_groups`` — a single hash shuffle on the key — with the
-windowed logic vectorized (numpy searchsorted / sliding windows) inside
-the group. The reference's only windowed op is the training-diagnostics
-moving average (ocrolib/common.py:871-882 ``MovingStats``), generalized
-here to the event-stream shape a training-data pipeline needs.
+All of them share one partitioning assumption: rows for a key fit in
+one partition (per-user event history, per-customer order history).
+Each runs on ``relational.partition_map``: a hash tag on the key, one
+sort-shuffle exchange on the tag, then the windowed logic vectorized
+(numpy searchsorted / sliding windows) across all keys of a partition.
+The reference's only windowed op is the training-diagnostics moving
+average (ocrolib/common.py:871-882 ``MovingStats``), generalized here
+to the event-stream shape a training-data pipeline needs.
 
 At skew (one user with millions of events) the group no longer fits:
 salt the key by time-bucket and stitch session boundaries across salt
@@ -21,15 +22,7 @@ import pandas as pd
 
 import ray.data as rd
 
-from ..functions import hashing
-
-
-def part_tag(k: np.ndarray, num_partitions: int) -> np.ndarray:
-    """Knuth multiplicative partition tag for int64 keys — the ONE
-    implementation of the `(k * 2654435761 % 2^32) % n` idiom the
-    SQL twins replicate (new call sites use this; the literal form
-    predates it at several older sites)."""
-    return (k * 2654435761 % 4294967296) % num_partitions
+from .relational import partition_map
 
 
 def compose_sort_keys(kid: np.ndarray, nts_us: np.ndarray, extra_us: int = 0):
@@ -43,7 +36,7 @@ def compose_sort_keys(kid: np.ndarray, nts_us: np.ndarray, extra_us: int = 0):
     when µs doesn't fit we coarsen the timestamp resolution (ms → s → min
     → h → day) — exact whenever every timestamp and the window are
     aligned to the coarser unit (always true for date/second-resolution
-    data) — and raise OverflowError with a num_partitions hint otherwise
+    data) — and raise OverflowError with a partition-count hint otherwise
     rather than return wrong joins."""
     n_keys = int(kid.max()) + 1 if len(kid) else 1
     tmax = int(nts_us.max()) if len(nts_us) else 0
@@ -56,13 +49,14 @@ def compose_sort_keys(kid: np.ndarray, nts_us: np.ndarray, extra_us: int = 0):
             raise OverflowError(
                 f"compose_sort_keys: {n_keys} keys x {tmax}us span "
                 f"overflows int64 at full resolution and timestamps are "
-                f"not aligned to {div}us; increase num_partitions"
+                f"not aligned to {div}us; spread the keys over more partitions"
             )
         comb = kid.astype(np.int64) * np.int64(span) + nts_us // div
         return comb, np.int64(span), np.int64(div)
     raise OverflowError(
         f"compose_sort_keys: {n_keys} keys x {tmax}us span overflows "
-        f"int64 even at day resolution; increase num_partitions"
+        f"int64 even at day resolution; spread the keys over more "
+        f"partitions"
     )
 
 
@@ -71,36 +65,22 @@ def sessionize(
     key_col: str = "user_id",
     ts_col: str = "ts",
     gap: pd.Timedelta = pd.Timedelta(minutes=30),
-    num_partitions: int = 32,
 ) -> rd.Dataset:
     """Per-key gap sessionization -> (key, n_sessions, max_session_events,
     n_events). A new session starts when the time since the previous
     event (ordered by ts) exceeds ``gap``.
 
-    Scale shape: hash shuffle into ``num_partitions`` buckets, then ONE
+    Scale shape: one ``partition_map`` exchange on the key, then ONE
     vectorized pass per partition — events lexsorted by (key, ts),
     session breaks found with a single diff, per-key stats with
     bincount/reduceat at key boundaries. Never one UDF call per key."""
     gap_us = np.int64(gap.total_seconds() * 1e6)
 
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        k = b[key_col].to_numpy(np.int64)
-        return pd.DataFrame(
-            {
-                "part": (k * 2654435761 % 4294967296) % num_partitions,
-                "k": k,
-                "ts": b[ts_col],
-            }
-        )
+    def project(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"k": b[key_col].to_numpy(np.int64),
+                             "ts": b[ts_col]})
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame(
-                {key_col: pd.Series([], dtype="int64"),
-                 "n_sessions": pd.Series([], dtype="int64"),
-                 "max_session_events": pd.Series([], dtype="int64"),
-                 "n_events": pd.Series([], dtype="int64")}
-            )
         k = g["k"].to_numpy(np.int64)
         nts = (g["ts"].to_numpy() - g["ts"].to_numpy().min()).astype(
             "timedelta64[us]"
@@ -132,11 +112,8 @@ def sessionize(
             }
         )
 
-    return (
-        events.map_batches(tag, batch_format="pandas")
-        .groupby("part")
-        .map_groups(per_part, batch_format="pandas")
-    )
+    return partition_map(events.map_batches(project, batch_format="pandas"),
+                         "k", per_part)
 
 
 def rolling_last(
@@ -145,30 +122,18 @@ def rolling_last(
     ts_col: str = "ts",
     value_col: str = "value",
     window: int = 4,
-    num_partitions: int = 32,
 ) -> rd.Dataset:
     """Rolling mean over the trailing ``window`` events per key, ordered
     by ts; returns the FINAL window's mean per key — (key, last_ma).
     MovingStats equivalent (common.py:871-882). Partition-vectorized:
     one lexsort per bucket, tail means via prefix sums at key ends."""
 
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        k = b[key_col].to_numpy(np.int64)
-        return pd.DataFrame(
-            {
-                "part": (k * 2654435761 % 4294967296) % num_partitions,
-                "k": k,
-                "ts": b[ts_col],
-                "v": b[value_col].astype(np.float64),
-            }
-        )
+    def project(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"k": b[key_col].to_numpy(np.int64),
+                             "ts": b[ts_col],
+                             "v": b[value_col].astype(np.float64)})
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame(
-                {key_col: pd.Series([], dtype="int64"),
-                 "last_ma": pd.Series([], dtype="float64")}
-            )
         k = g["k"].to_numpy(np.int64)
         nts = (g["ts"].to_numpy() - g["ts"].to_numpy().min()).astype(
             "timedelta64[us]"
@@ -185,18 +150,14 @@ def rolling_last(
         means = (cs[key_end] - cs[tail_start]) / (key_end - tail_start)
         return pd.DataFrame({key_col: ks[key_start], "last_ma": means})
 
-    return (
-        events.map_batches(tag, batch_format="pandas")
-        .groupby("part")
-        .map_groups(per_part, batch_format="pandas")
-    )
+    return partition_map(events.map_batches(project, batch_format="pandas"),
+                         "k", per_part)
 
 
 def asof_join_aggregate(
     events: rd.Dataset,
     orders: rd.Dataset,
     group_col: str = "event_type",
-    num_partitions: int = 32,
     direction: str = "backward",
 ) -> pd.DataFrame:
     """As-of join: each event matches the LATEST order of the same
@@ -208,20 +169,18 @@ def asof_join_aggregate(
     o_orderdate >= ts (tie-break: min o_orderkey) — same shuffle, same
     lexsorted history, just the other searchsorted side.
 
-    Scale shape: both sides tagged and unioned, ONE hash shuffle into
-    ``num_partitions`` buckets (never one group per key — per-group UDF
-    overhead measured 4-5x), then fully vectorized per partition: keys
+    Scale shape: both sides projected and unioned, ONE ``partition_map``
+    exchange on the customer key (never one group per key — per-group
+    UDF overhead measured 4-5x), then fully vectorized per partition: keys
     rank-encoded and composed with the microsecond timestamp into one
     int64 sort key; every event resolves with a single searchsorted
     against the (key, date, orderkey)-lexsorted order history."""
     import pyarrow as pa
 
     def tag_events(b: pd.DataFrame) -> pd.DataFrame:
-        k = b["user_id"].to_numpy(np.int64) + 1
         return pd.DataFrame(
             {
-                "part": (k * 2654435761 % 4294967296) % num_partitions,
-                "k": k,
+                "k": b["user_id"].to_numpy(np.int64) + 1,
                 "side": "e",
                 "ts": b["ts"],
                 "grp": b[group_col],
@@ -231,11 +190,9 @@ def asof_join_aggregate(
         )
 
     def tag_orders(b: pd.DataFrame) -> pd.DataFrame:
-        k = b["o_custkey"].to_numpy(np.int64)
         return pd.DataFrame(
             {
-                "part": (k * 2654435761 % 4294967296) % num_partitions,
-                "k": k,
+                "k": b["o_custkey"].to_numpy(np.int64),
                 "side": "o",
                 "ts": b["o_orderdate"],
                 "grp": "",
@@ -306,7 +263,7 @@ def asof_join_aggregate(
             }
         )
 
-    rows = both.groupby("part").map_groups(per_part, batch_format="pandas")
+    rows = partition_map(both, "k", per_part)
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         if len(b) == 0:
@@ -341,16 +298,15 @@ def asof_join_aggregate(
 def range_join_aggregate(
     orders: rd.Dataset,
     window_days: int = 90,
-    num_partitions: int = 32,
 ) -> pd.DataFrame:
     """Range (interval) self-join: each order matches the same customer's
     FOLLOW-UP orders with o_orderdate in [own date, own date +
     window_days), excluding itself. Aggregated to (o_orderpriority of the
     anchor order, n_pairs, sum_price_cents).
 
-    Scale shape: ONE hash shuffle into ``num_partitions`` buckets (NOT
-    one group per key — per-group UDF overhead measured 4-5x on the
-    dedup ops), then fully vectorized per partition: keys are
+    Scale shape: ONE ``partition_map`` exchange on the customer key
+    (NOT one group per key — per-group UDF overhead measured 4-5x on
+    the dedup ops), then fully vectorized per partition: keys are
     rank-encoded and composed with the microsecond timestamp into a
     single int64 sort key, so every anchor's window resolves with two
     global searchsorteds and a prefix cumsum. A customer with m orders
@@ -360,19 +316,15 @@ def range_join_aggregate(
     when not) — never silently wraps."""
     win_us = np.int64(window_days) * 86_400_000_000
 
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        k = b["o_custkey"].to_numpy(np.int64)
+    def project(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
-                "part": (k * 2654435761 % 4294967296) % num_partitions,
-                "k": k,
+                "k": b["o_custkey"].to_numpy(np.int64),
                 "ts": b["o_orderdate"],
                 "grp": b["o_orderpriority"],
                 "price": b["o_totalprice"],
             }
         )
-
-    tagged = orders.map_batches(tag, batch_format="pandas")
 
     _EMPTY = pd.DataFrame(
         {
@@ -383,8 +335,6 @@ def range_join_aggregate(
     )
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return _EMPTY
         k = g["k"].to_numpy(np.int64)
         ts = g["ts"].to_numpy()
         nts = (ts - ts.min()).astype("timedelta64[us]").astype(np.int64)
@@ -417,7 +367,8 @@ def range_join_aggregate(
             n_pairs=("n_pairs", "sum"), cents=("cents", "sum")
         )
 
-    rows = tagged.groupby("part").map_groups(per_part, batch_format="pandas")
+    rows = partition_map(orders.map_batches(project, batch_format="pandas"),
+                         "k", per_part)
     parts = rows.map_batches(partial, batch_format="pandas").to_pandas()
     if len(parts) == 0 or "grp" not in parts.columns:
         parts = _EMPTY
@@ -520,38 +471,31 @@ def window_dedup_events(
     ts_col: str = "ts",
     id_col: str = "event_id",
     window: pd.Timedelta = pd.Timedelta(hours=1),
-    num_partitions: int = 32,
+    num_partitions: int | None = None,
 ) -> rd.Dataset:
     """Time-windowed event dedup: keep an event only if the PREVIOUS
     event with the same key (ordered by ts, id) is more than ``window``
     older (or absent) — the streaming-log shape of "suppress repeats
     within an hour".
 
-    Same scale skeleton as sessionize: one hash shuffle of (key-hash %
-    num_partitions), then per partition a single lexsort by (key, ts,
+    Same scale skeleton as sessionize: one ``partition_map`` exchange
+    on the key columns, then per partition a single lexsort by (key, ts,
     id) + one vectorized diff; the survivor mask never leaves the
     partition. Key identity uses the raw columns (carried through the
     shuffle), not the coarse partition hash."""
     win_us = np.int64(window.total_seconds() * 1e6)
     k1, k2 = key_cols
 
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        h = hashing.hash_strings(
-            b[k1].astype(str).str.cat(b[k2].astype(str), sep="\x1f")
-            .to_numpy(dtype=object))
-        out = b[[k1, k2, ts_col, id_col]].copy()
-        out["_part"] = (h % np.uint64(num_partitions)).astype(np.int64)
-        return out
+    def project(b: pd.DataFrame) -> pd.DataFrame:
+        return b[[k1, k2, ts_col, id_col]]
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         cols = {
-            k1: g[k1].to_numpy() if len(g) else np.array([], dtype=np.int64),
-            k2: g[k2].to_numpy(dtype=object) if len(g) else np.array([], dtype=object),
-            ts_col: g[ts_col].to_numpy() if len(g) else np.array([], dtype="datetime64[us]"),
-            id_col: g[id_col].to_numpy(np.int64) if len(g) else np.array([], dtype=np.int64),
+            k1: g[k1].to_numpy(),
+            k2: g[k2].to_numpy(dtype=object),
+            ts_col: g[ts_col].to_numpy(),
+            id_col: g[id_col].to_numpy(np.int64),
         }
-        if len(g) == 0:
-            return pd.DataFrame(cols).drop(columns=[])
         ts64 = cols[ts_col].astype("datetime64[us]").astype(np.int64)
         # dense rank of the composite key within the partition
         _, kid = np.unique(
@@ -567,9 +511,9 @@ def window_dedup_events(
         out = pd.DataFrame({c: v[keep] for c, v in cols.items()})
         return out
 
-    tagged = events.map_batches(tag, batch_format="pandas", batch_size=65536)
-    return tagged.groupby("_part").map_groups(
-        per_part, batch_format="pandas")
+    return partition_map(
+        events.map_batches(project, batch_format="pandas", batch_size=65536),
+        [k1, k2], per_part, num_partitions=num_partitions)
 
 
 def rate_limit_events(
@@ -579,7 +523,7 @@ def rate_limit_events(
     ts_col: str = "ts",
     id_col: str = "event_id",
     window: str = "h",
-    num_partitions: int = 32,
+    num_partitions: int | None = None,
 ) -> rd.Dataset:
     """Per-key per-window cap: keep at most ``limit`` events per
     (key, window-bucket), earliest first (order ts then id) — the
@@ -587,25 +531,17 @@ def rate_limit_events(
     (SQL twin: QUALIFY row_number() OVER (PARTITION BY key,
     date_trunc(window, ts) ORDER BY ts, id) <= limit).
 
-    Same scale skeleton as window_dedup_events: one key-hash shuffle,
-    then per partition a single lexsort by (key, bucket, ts, id) and a
-    vectorized running-count-within-group mask (cumcount via
-    segment-start subtraction — no Python loop). The window bucket is a
-    datetime truncation, so a key's events in one bucket always
-    co-locate (they share the key hash)."""
+    Same scale skeleton as window_dedup_events: one ``partition_map``
+    exchange on the key, then per partition a single lexsort by (key,
+    bucket, ts, id) and a vectorized running-count-within-group mask
+    (cumcount via segment-start subtraction — no Python loop). The
+    window bucket is a datetime truncation, so a key's events in one
+    bucket always co-locate (they share the key hash)."""
 
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        h = (b[key_col].to_numpy(dtype="uint64")
-             if np.issubdtype(b[key_col].dtype, np.integer)
-             else hashing.hash_strings(
-                 b[key_col].astype(str).to_numpy(dtype=object)))
-        out = b[[key_col, ts_col, id_col]].copy()
-        out["_part"] = (h % np.uint64(num_partitions)).astype(np.int64)
-        return out
+    def project(b: pd.DataFrame) -> pd.DataFrame:
+        return b[[key_col, ts_col, id_col]]
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return g.drop(columns=["_part"])
         key = g[key_col].to_numpy()
         ts = g[ts_col].to_numpy().astype("datetime64[us]")
         bucket = ts.astype(f"datetime64[{window}]").astype(np.int64)
@@ -630,10 +566,9 @@ def rate_limit_events(
             id_col: ids[keep],
         })
 
-    tagged = events.map_batches(tag, batch_format="pandas",
-                                batch_size=65536)
-    return tagged.groupby("_part").map_groups(
-        per_part, batch_format="pandas")
+    return partition_map(
+        events.map_batches(project, batch_format="pandas", batch_size=65536),
+        key_col, per_part, num_partitions=num_partitions)
 
 
 def funnel_steps(
@@ -643,7 +578,7 @@ def funnel_steps(
     key_col: str = "user_id",
     ts_col: str = "ts",
     type_col: str = "event_type",
-    num_partitions: int = 32,
+    num_partitions: int | None = None,
 ) -> pd.DataFrame:
     """Ordered funnel analysis: how many users reach each step, where
     step k+1 must occur strictly AFTER the user's step-k time and
@@ -651,26 +586,18 @@ def funnel_steps(
     anchors at the user's first step-1 event; each later step at the
     first qualifying event). Returns (step_no, step, n_users).
 
-    Scale shape: ONE key-hash shuffle co-locates each user's events;
-    inside a partition the whole chain is a sequence of C-level
-    groupby-min / map / filter passes across ALL its users at once (no
-    per-user Python). The driver sees partitions x steps count rows."""
+    Scale shape: ONE ``partition_map`` exchange on the key co-locates
+    each user's events; inside a partition the whole chain is a
+    sequence of C-level groupby-min / map / filter passes across ALL
+    its users at once (no per-user Python). The caller receives
+    partitions x steps count rows."""
     win_us = np.int64(window.total_seconds() * 1e6)
 
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
+    def project(b: pd.DataFrame) -> pd.DataFrame:
         out = b[[key_col, ts_col, type_col]]
-        out = out[out[type_col].isin(steps)].copy()
-        h = (out[key_col].to_numpy(dtype="uint64")
-             if np.issubdtype(out[key_col].dtype, np.integer)
-             else hashing.hash_strings(
-                 out[key_col].astype(str).to_numpy(dtype=object)))
-        out["_part"] = (h % np.uint64(num_partitions)).astype(np.int64)
-        return out
+        return out[out[type_col].isin(steps)]
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({"step_no": pd.Series(dtype="int64"),
-                                 "n_users": pd.Series(dtype="int64")})
         ts64 = g[ts_col].to_numpy().astype(
             "datetime64[us]").astype(np.int64)
         g = pd.DataFrame({"u": g[key_col].to_numpy(),
@@ -694,10 +621,9 @@ def funnel_steps(
             "n_users": np.asarray(counts, dtype=np.int64),
         })
 
-    parts = (events.map_batches(tag, batch_format="pandas",
-                                batch_size=65536)
-             .groupby("_part").map_groups(per_part, batch_format="pandas")
-             .to_pandas())
+    parts = partition_map(
+        events.map_batches(project, batch_format="pandas", batch_size=65536),
+        key_col, per_part, num_partitions=num_partitions).to_pandas()
     if "step_no" not in parts.columns:
         parts = pd.DataFrame({"step_no": pd.Series(dtype="int64"),
                               "n_users": pd.Series(dtype="int64")})
@@ -716,7 +642,7 @@ def retention_days(
     max_offset: int = 6,
     key_col: str = "user_id",
     ts_col: str = "ts",
-    num_partitions: int = 32,
+    num_partitions: int | None = None,
 ) -> pd.DataFrame:
     """Cohort retention: for each day-offset 0..max_offset, how many
     users had any event exactly that many days after their own first
@@ -725,26 +651,18 @@ def retention_days(
 
     Scale shape: the tag pass truncates timestamps to DAYS per batch
     (so the shuffle ships (user, day) pairs pre-deduped per batch, not
-    raw events), ONE user-hash shuffle co-locates each user's days, and
-    a partition computes all its users' offsets with two C-level
-    groupby passes; the driver sums partitions x offsets rows."""
+    raw events), ONE ``partition_map`` exchange on the user co-locates
+    each user's days, and a partition computes all its users' offsets
+    with two C-level groupby passes; the caller sums partitions x
+    offsets rows."""
 
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
+    def days(b: pd.DataFrame) -> pd.DataFrame:
         day = (b[ts_col].to_numpy().astype("datetime64[D]")
                .astype(np.int64))
-        out = pd.DataFrame({"u": b[key_col].to_numpy(), "d": day})
-        out = out.drop_duplicates()
-        h = (out["u"].to_numpy(dtype="uint64")
-             if np.issubdtype(out["u"].dtype, np.integer)
-             else hashing.hash_strings(
-                 out["u"].astype(str).to_numpy(dtype=object)))
-        out["_part"] = (h % np.uint64(num_partitions)).astype(np.int64)
-        return out
+        return pd.DataFrame({"u": b[key_col].to_numpy(),
+                             "d": day}).drop_duplicates()
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({"day_offset": pd.Series(dtype="int64"),
-                                 "n_users": pd.Series(dtype="int64")})
         g = g.drop_duplicates(["u", "d"])
         d0 = g.groupby("u")["d"].transform("min")
         off = (g["d"] - d0).to_numpy(np.int64)
@@ -755,10 +673,9 @@ def retention_days(
             "n_users": cnt.astype(np.int64),
         })
 
-    parts = (events.map_batches(tag, batch_format="pandas",
-                                batch_size=65536)
-             .groupby("_part").map_groups(per_part, batch_format="pandas")
-             .to_pandas())
+    parts = partition_map(
+        events.map_batches(days, batch_format="pandas", batch_size=65536),
+        "u", per_part, num_partitions=num_partitions).to_pandas()
     if "day_offset" not in parts.columns:
         return pd.DataFrame({"day_offset": pd.Series(dtype="int64"),
                              "n_users": pd.Series(dtype="int64")})
@@ -771,7 +688,7 @@ def rolling_distinct(
     window_hours: int = 3,
     key_col: str = "user_id",
     ts_col: str = "ts",
-    num_partitions: int = 32,
+    num_partitions: int | None = None,
 ) -> pd.DataFrame:
     """Sliding-window COUNT DISTINCT: for every hour bucket h, the
     number of distinct keys active in (h - window + 1 .. h] — the
@@ -782,13 +699,14 @@ def rolling_distinct(
     Scale shape: each batch pre-dedups to its (hour, key) pairs, then
     REPLICATES each pair to the ``window_hours`` windows it serves —
     shuffle traffic is window x per-batch-distinct pairs, never raw
-    events. One (window-hour)-hash shuffle co-locates each window; a
-    partition dedups (window, key) across batches and counts. The
+    events. One ``partition_map`` exchange on the window hour
+    co-locates each window; a partition dedups (window, key) across
+    batches and counts. The
     replicate-then-dedup trade is the standard exact sliding-distinct
     plan; for big windows switch to per-hour HLL sketches (mergeable,
     sketches.py) and pay the approximation instead."""
 
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
+    def replicate(b: pd.DataFrame) -> pd.DataFrame:
         hour = (b[ts_col].to_numpy().astype("datetime64[h]")
                 .astype(np.int64))
         pairs = pd.DataFrame({"h": hour,
@@ -798,20 +716,17 @@ def rolling_distinct(
             w = pairs.copy()
             w["w"] = w["h"] + d
             reps.append(w[["w", "k"]])
-        out = pd.concat(reps, ignore_index=True).drop_duplicates()
-        out["_part"] = (out["w"].to_numpy(dtype="uint64")
-                        % np.uint64(num_partitions)).astype(np.int64)
-        return out
+        return pd.concat(reps, ignore_index=True).drop_duplicates()
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["w", "k"])
         c = d.groupby("w", sort=False).size().reset_index(name="n_keys")
         return c
 
-    parts = (events.map_batches(tag, batch_format="pandas",
-                                batch_size=65536)
-             .groupby("_part").map_groups(per_part, batch_format="pandas")
-             .to_pandas())
+    parts = partition_map(
+        events.map_batches(replicate, batch_format="pandas",
+                           batch_size=65536),
+        "w", per_part, num_partitions=num_partitions).to_pandas()
     if "w" not in parts.columns:
         return pd.DataFrame({"hour": pd.Series(dtype="datetime64[us]"),
                              "n_keys": pd.Series(dtype="int64")})
@@ -827,7 +742,6 @@ def attribution_credit(
     conv_type: str = "purchase",
     touch_types: tuple = ("click", "view"),
     lookback: pd.Timedelta = pd.Timedelta(days=7),
-    num_partitions: int = 32,
 ) -> pd.DataFrame:
     """Marketing ATTRIBUTION: for every conversion event, credit the
     FIRST-touch and LAST-touch channel among the user's touch events in
@@ -835,33 +749,26 @@ def attribution_credit(
     timestamps broken by event_id — first = smallest, last = largest).
     Returns (model, channel, n_conversions) counts.
 
-    Scale shape: one user-hash shuffle co-locates each user's events;
-    per partition BOTH models come from two searchsorted calls on the
-    composed (user-rank, ts) key (window lower bound clamped to the
-    user's block — no per-conversion loop, no touches x conversions
-    pair materialization, which is what the SQL twin has to build).
+    Scale shape: one ``partition_map`` exchange on the user co-locates
+    each user's events; per partition BOTH models come from two
+    searchsorted calls on the composed (user-rank, ts) key (window
+    lower bound clamped to the user's block — no per-conversion loop,
+    no touches x conversions pair materialization, which is what the
+    SQL twin has to build).
     Driver combine is models x channels x partitions rows."""
     look_us = np.int64(lookback.total_seconds() * 1e6)
     kinds = [conv_type, *touch_types]
 
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
+    def project(b: pd.DataFrame) -> pd.DataFrame:
         keep = b["event_type"].isin(kinds).to_numpy()
-        k = b["user_id"].to_numpy(np.int64)[keep]
         return pd.DataFrame({
-            "part": part_tag(k, num_partitions),
-            "k": k,
+            "k": b["user_id"].to_numpy(np.int64)[keep],
             "ts": b["ts"].to_numpy()[keep],
             "eid": b["event_id"].to_numpy(np.int64)[keep],
             "et": b["event_type"].to_numpy(object)[keep],
         })
 
-    empty = pd.DataFrame({"model": pd.Series([], dtype=object),
-                          "channel": pd.Series([], dtype=object),
-                          "n_conversions": pd.Series([], dtype="int64")})
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return empty.copy()
         k = g["k"].to_numpy(np.int64)
         ts = g["ts"].to_numpy().astype("datetime64[us]")
         nts = (ts - ts.min()).astype(np.int64)
@@ -891,9 +798,8 @@ def attribution_credit(
                 "n_conversions": cnt.astype("int64")}))
         return pd.concat(frames, ignore_index=True)
 
-    parts = (events.map_batches(tag, batch_format="pandas")
-             .groupby("part").map_groups(per_part, batch_format="pandas")
-             .to_pandas())
+    parts = partition_map(events.map_batches(project, batch_format="pandas"),
+                          "k", per_part).to_pandas()
     out = (parts.groupby(["model", "channel"], as_index=False)
            .agg(n_conversions=("n_conversions", "sum")))
     out["n_conversions"] = out["n_conversions"].astype("int64")
@@ -905,36 +811,28 @@ def coalesce_intervals(
     ts_col: str = "ts",
     key_col: str = "user_id",
     dur_us_col: str = "dur_us",
-    num_partitions: int = 32,
 ) -> pd.DataFrame:
     """Per-key INTERVAL COALESCING (gaps-and-islands): merge each key's
     overlapping-or-touching [ts, ts + dur) intervals into islands and
     report per key the island count and total covered microseconds.
 
-    Scale shape: one key-hash shuffle, then a single vectorized pass
-    per partition — intervals lexsorted by (key, start, end), the
-    running maximum end computed ONCE with np.maximum.accumulate over
-    keys made disjoint by the composed (key-rank, ts) keyspace (a new
-    key's start always exceeds the previous key's offset block, so the
-    cummax resets itself), islands cut where start > cummax(prev end).
+    Scale shape: one ``partition_map`` exchange on the key, then a
+    single vectorized pass per partition — intervals lexsorted by
+    (key, start, end), the running maximum end computed ONCE with
+    np.maximum.accumulate over keys made disjoint by the composed
+    (key-rank, ts) keyspace (a new key's start always exceeds the
+    previous key's offset block, so the cummax resets itself), islands
+    cut where start > cummax(prev end).
     Nothing is per-row Python; driver sees keys-per-partition rows."""
 
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        k = b[key_col].to_numpy(np.int64)
+    def project(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
-            "part": part_tag(k, num_partitions),
-            "k": k,
+            "k": b[key_col].to_numpy(np.int64),
             "ts": b[ts_col],
             "dur": b[dur_us_col].to_numpy(np.int64),
         })
 
-    empty = pd.DataFrame({key_col: pd.Series([], dtype="int64"),
-                          "n_islands": pd.Series([], dtype="int64"),
-                          "covered_us": pd.Series([], dtype="int64")})
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return empty.copy()
         k = g["k"].to_numpy(np.int64)
         ts = g["ts"].to_numpy().astype("datetime64[us]")
         nts = (ts - ts.min()).astype(np.int64)
@@ -947,7 +845,8 @@ def coalesce_intervals(
             if (dur % div).any():
                 raise OverflowError(
                     "coalesce_intervals: durations not aligned to the "
-                    "coarsened time unit; increase num_partitions")
+                    "coarsened time unit; spread the keys over more "
+                    "partitions")
         s = comb
         e = comb + dur // div
         order = np.lexsort((e, s))
@@ -976,9 +875,8 @@ def coalesce_intervals(
             "covered_us": covered_by_key,
         })
 
-    out = (events.map_batches(tag, batch_format="pandas")
-           .groupby("part").map_groups(per_part, batch_format="pandas")
-           .to_pandas())
+    out = partition_map(events.map_batches(project, batch_format="pandas"),
+                        "k", per_part).to_pandas()
     return out.sort_values(key_col).reset_index(drop=True)
 
 
@@ -986,7 +884,7 @@ def interval_overlap_join(
     a: rd.Dataset,
     b: rd.Dataset | None = None,
     bucket_us: int = 3_600_000_000,
-    num_partitions: int = 64,
+    num_partitions: int | None = None,
 ) -> rd.Dataset:
     """INTERVAL-OVERLAP JOIN between two large interval sets, aggregated
     per left interval: for every a-row, the count of b-rows with the
@@ -1002,7 +900,7 @@ def interval_overlap_join(
       1. Each interval is replicated to every fixed-width time bucket it
          overlaps (one `map_batches` per side, np.repeat — replication
          factor = ceil(duration / bucket_us)).
-      2. ONE hash shuffle on (key, bucket) co-locates everything that
+      2. ONE ``partition_map`` on (key, bucket) co-locates everything that
          can possibly pair. Inside a partition the join is fully
          vectorized across all its (key, bucket) groups at once: group
          ids and µs offsets are composed into one int64 keyspace
@@ -1015,7 +913,7 @@ def interval_overlap_join(
          b-replicas overlapping that bucket (any such b overlaps the
          instant a.s, hence that bucket). Prefix sums of b ids ride the
          same sorted arrays, so the witness sums cost nothing extra.
-      3. A second metadata-scale hash shuffle on a_id sums the per-replica
+      3. A second metadata-scale ``partition_map`` on a_id sums the per-replica
          partials exactly and drops zero-overlap rows.
     Driver never sees interval or pair rows; skewed long intervals only
     raise the replication factor of the rows that are actually long.
@@ -1049,11 +947,8 @@ def interval_overlap_join(
             off = np.arange(int(n.sum()), dtype=np.int64) - np.repeat(
                 np.cumsum(n) - n, n)
             bk = b0[idx] + off
-            kk = k[idx]
             return pd.DataFrame({
-                "part": part_tag(kk * np.int64(1_000_003) + bk,
-                                 num_partitions),
-                "k": kk, "bk": bk,
+                "k": k[idx], "bk": bk,
                 "s": s[idx], "e": e[idx],
                 "id": iid[idx],
                 "side": sd[idx],
@@ -1120,12 +1015,6 @@ def interval_overlap_join(
                              "n_overlap": (n1 + n2).astype("int64"),
                              "sum_b": (s1 + s2).astype("int64")})
 
-    def tag2(bt: pd.DataFrame) -> pd.DataFrame:
-        bt = bt.copy()
-        bt["part2"] = part_tag(bt["a_id"].to_numpy(np.int64),
-                               num_partitions)
-        return bt
-
     def final(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.groupby("a_id", as_index=False)
                .agg(n_overlap=("n_overlap", "sum"),
@@ -1139,22 +1028,22 @@ def interval_overlap_join(
     else:
         rep = (a.map_batches(replicate(0), batch_format="pandas")
                .union(b.map_batches(replicate(1), batch_format="pandas")))
-    return (rep.groupby("part").map_groups(per_part, batch_format="pandas")
-            .map_batches(tag2, batch_format="pandas")
-            .groupby("part2").map_groups(final, batch_format="pandas"))
+    pairs = partition_map(rep, ["k", "bk"], per_part,
+                          num_partitions=num_partitions)
+    return partition_map(pairs, "a_id", final, num_partitions=num_partitions)
 
 
 HOUR_US = np.int64(3_600_000_000)
 
 
 def hourly_partials(b: pd.DataFrame, key_col: str, ts_col: str,
-                    cents_col: str | None = None,
-                    num_partitions: int = 32) -> pd.DataFrame:
+                    cents_col: str | None = None) -> pd.DataFrame:
     """Collapse ONE batch to its distinct (key, hour) partial rows —
     the shared pre-shuffle step of every hourly-series operator
-    (gapfill_hourly, the change-point query): count per (key, hour),
-    optional integer-cent sum, and the key-hash partition tag. Output
-    is bounded by keys x hours, metadata scale."""
+    (gapfill_hourly, the change-point query): key ``k``, hour ``hr``,
+    count ``n`` per (key, hour) and the optional integer-cent sum
+    ``cents``. Output is bounded by keys x hours, metadata scale; the
+    operators exchange it with ``partition_map`` on ``k``."""
     hrs = (b[ts_col].to_numpy().astype("datetime64[us]")
            .astype(np.int64) // HOUR_US)
     key, kinv = np.unique(b[key_col].to_numpy(str), return_inverse=True)
@@ -1163,8 +1052,6 @@ def hourly_partials(b: pd.DataFrame, key_col: str, ts_col: str,
     n = np.bincount(inv)
     ku = key[(u >> np.int64(32)).astype(np.int64)]
     out = {
-        "part": part_tag(hashing.hash_strings(ku).astype(np.int64),
-                         num_partitions),
         "k": ku,
         "hr": (u & np.int64((1 << 32) - 1)) + hrs.min(),
         "n": n.astype("int64"),
@@ -1200,7 +1087,6 @@ def gapfill_hourly(
     key_col: str = "event_type",
     ts_col: str = "ts",
     cents_col: str = "cents",
-    num_partitions: int = 32,
 ) -> pd.DataFrame:
     """TIME-SERIES GAP FILL / RESAMPLE: per key, the hourly event count
     and integer-cent value sum on a DENSE hourly grid from the key's
@@ -1210,7 +1096,8 @@ def gapfill_hourly(
 
     Scale shape: per-batch partial aggregation first (each input batch
     collapses to its distinct (key, hour) rows — bounded by hours x
-    keys, METADATA scale), then ONE key-hash shuffle of those partials.
+    keys, METADATA scale), then ONE ``partition_map`` exchange of those
+    partials on the key.
     Inside a partition everything is vectorized across keys at once:
     observed hours scatter into a composed dense (key-rank x hour-range)
     grid built with np.repeat/arange, and the forward fill is a single
@@ -1222,19 +1109,9 @@ def gapfill_hourly(
     HOUR = HOUR_US
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        return hourly_partials(b, key_col, ts_col, cents_col=cents_col,
-                               num_partitions=num_partitions)
-
-    empty = pd.DataFrame({
-        key_col: pd.Series([], dtype=object),
-        "hr": pd.Series([], dtype="datetime64[us]"),
-        "n_events": pd.Series([], dtype="int64"),
-        "sum_cents": pd.Series([], dtype="int64"),
-        "last_seen": pd.Series([], dtype="datetime64[us]")})
+        return hourly_partials(b, key_col, ts_col, cents_col=cents_col)
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return empty.copy()
         keys, ukid, uhr, merged, gstart = merge_hour_partials(
             g, ("n", "cents"))
         n, cents = merged["n"], merged["cents"]
@@ -1265,9 +1142,8 @@ def gapfill_hourly(
             "sum_cents": gc,
             "last_seen": (last_seen * HOUR).astype("datetime64[us]")})
 
-    out = (events.map_batches(partial, batch_format="pandas")
-           .groupby("part").map_groups(per_part, batch_format="pandas")
-           .to_pandas())
+    out = partition_map(events.map_batches(partial, batch_format="pandas"),
+                        "k", per_part).to_pandas()
     return (out.sort_values([key_col, "hr"]).reset_index(drop=True))
 
 
@@ -1277,7 +1153,6 @@ def max_concurrency(
     s_col: str = "s",
     e_col: str = "e",
     bucket_us: int = 86_400_000_000,
-    num_partitions: int = 32,
 ) -> pd.DataFrame:
     """MAX-CONCURRENCY sweep line: per key, the maximum number of
     simultaneously-open [s, e) intervals and the FIRST instant that
@@ -1285,8 +1160,8 @@ def max_concurrency(
 
     Distributed prefix scan, no per-key single-partition assumption:
     intervals become ±1 sweep points; points land in fixed time buckets
-    (points are instants — no replication); ONE (key, bucket)-hash
-    shuffle computes per bucket its net delta, its running-prefix max
+    (points are instants — no replication); ONE ``partition_map`` on
+    (key, bucket) computes per bucket its net delta, its running-prefix max
     and the first instant attaining it, all vectorized across the
     partition's groups via one lexsort + reduceat. Only BUCKET SUMMARY
     rows (keys x buckets) reach the driver, where the cross-bucket
@@ -1302,22 +1177,9 @@ def max_concurrency(
                             b[e_col].to_numpy(np.int64)])
         d = np.concatenate([np.ones(len(b), dtype=np.int64),
                             -np.ones(len(b), dtype=np.int64)])
-        bk = t // W
-        return pd.DataFrame({
-            "part": part_tag(hashing.hash_strings(k).astype(np.int64)
-                             * np.int64(31) + bk, num_partitions),
-            "k": k, "bk": bk, "t": t, "d": d})
-
-    empty = pd.DataFrame({
-        "k": pd.Series([], dtype=object),
-        "bk": pd.Series([], dtype="int64"),
-        "delta": pd.Series([], dtype="int64"),
-        "lmax": pd.Series([], dtype="int64"),
-        "lmax_at": pd.Series([], dtype="int64")})
+        return pd.DataFrame({"k": k, "bk": t // W, "t": t, "d": d})
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return empty.copy()
         keys, kid = np.unique(g["k"].to_numpy(str), return_inverse=True)
         bk = g["bk"].to_numpy(np.int64)
         t = g["t"].to_numpy(np.int64)
@@ -1357,9 +1219,8 @@ def max_concurrency(
             "lmax": lmax.astype("int64"),
             "lmax_at": first})
 
-    summ = (intervals.map_batches(pts, batch_format="pandas")
-            .groupby("part").map_groups(per_part, batch_format="pandas")
-            .to_pandas())
+    summ = partition_map(intervals.map_batches(pts, batch_format="pandas"),
+                         ["k", "bk"], per_part).to_pandas()
     if len(summ) == 0:
         return pd.DataFrame({key_col: pd.Series([], dtype=object),
                              "max_concurrent": pd.Series([], dtype="int64"),

@@ -2,13 +2,15 @@
 spans in reading order (the output invariant: span-sequence equality on
 (kind, text, media_ref, order), BASELINE.json / FIXTURES.md).
 
-Implemented as ``groupby(doc_id).map_groups`` over a union of two small
-row kinds (original span rows + recognized line rows) — pixel data never
-enters the shuffle (SURVEY.md §7.4 "never carry pixel data through the
-groupby"). Within a group rows sort by (span_offset, line_order); text
-spans for a page follow that page's media span in reading order
-(reference semantics: ocropus-gpageseg:440-449 reading-order renumber +
-ocropus-hocr:65-159 in-order assembly).
+Implemented as one ``relational.partition_map`` on ``doc_id`` over a
+union of small row kinds (original span rows, recognized line rows and
+page status rows): each partition reassembles all of its docs in one
+vectorized call, and pixel data never enters the shuffle (SURVEY.md
+§7.4 "never carry pixel data through the groupby"). Within a doc rows
+sort by (span_offset, line_order); text spans for a page follow that
+page's media span in reading order (reference semantics:
+ocropus-gpageseg:440-449 reading-order renumber + ocropus-hocr:65-159
+in-order assembly).
 """
 
 from __future__ import annotations
@@ -192,30 +194,17 @@ def reassemble_partition(g: pd.DataFrame) -> pa.Table:
         schema=OUT_SCHEMA)
 
 
-def addpart(batch: pa.Table, num_partitions: int) -> pa.Table:
-    """``batch`` plus ``doc_part``, its doc_id hashed into
-    ``num_partitions`` buckets, so that a per-bucket reassembly runs one
-    UDF call per BUCKET rather than one per doc (pd.util.hash_array is
-    deterministic across processes). Arrow in and out: a group-by task
-    that gets no rows emits an empty block in its input's format, and
-    the output blocks must all be Arrow."""
-    h = pd.util.hash_array(
-        batch.column("doc_id").to_numpy(zero_copy_only=False).astype(object))
-    return batch.append_column(
-        "doc_part", pa.array((h % num_partitions).astype("int64")))
-
-
 def map_docs_partitioned(
     rec_lines: "rd.Dataset",
     per_doc,
     schema: pa.Schema,
-    num_partitions: int = 32,
 ) -> "rd.Dataset":
-    """Run a per-document formatting UDF over hash-bucketed partitions:
-    one map_groups call per BUCKET with a pandas groupby inside, instead
-    of one call per doc_id (millions of tiny UDF invocations at corpus
-    scale). ``per_doc(g) -> pa.Table`` keeps its per-doc signature."""
-    import ray.data as rd  # noqa: F401
+    """Run a per-document formatting UDF over ``partition_map``
+    partitions on ``doc_id``: one UDF call per partition with a pandas
+    groupby inside, instead of one call per doc_id (millions of tiny UDF
+    invocations at corpus scale). ``per_doc(g) -> pa.Table`` keeps its
+    per-doc signature."""
+    from ..pipelines.relational import partition_map
 
     def per_part(g: pd.DataFrame) -> pa.Table:
         tables = [
@@ -228,10 +217,4 @@ def map_docs_partitioned(
             return pa.Table.from_pylist([], schema=schema)
         return pa.concat_tables(tables)
 
-    return (
-        rec_lines.map_batches(addpart,
-                              fn_kwargs={"num_partitions": num_partitions},
-                              batch_format="pyarrow")
-        .groupby("doc_part")
-        .map_groups(per_part, batch_format="pandas")
-    )
+    return partition_map(rec_lines, "doc_id", per_part)

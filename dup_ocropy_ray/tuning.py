@@ -93,10 +93,12 @@ def parquet_schema(path: str, columns=None):
 
 def suggested_partitions(mult: int = 2, floor: int = 32) -> int:
     """Shuffle fan-out sized to the cluster actually attached: ~mult x
-    the executor CPU slots, floored for small test sessions. Callers
-    that hash-bucket (bucket_join, dedup ops) use this so the same code
-    runs 32-way on the laptop and ~2x-slots-way on a 256-node cluster
-    without retuning."""
+    the executor CPU slots, floored for small test sessions (32 up to
+    16 CPUs). It is the default partition count of
+    ``relational.partition_map`` (every keyed exchange that is not
+    given one) and of ``bucket_join``, so the same code runs 32-way on
+    the laptop and ~2x-slots-way on a 256-node cluster without
+    retuning."""
     try:
         import ray
 

@@ -485,25 +485,51 @@ def test_skewed_page_deskewed_and_read(ray_session, corpus):
 
 def test_media_join_no_masks_and_dangling_ref(ray_session):
     """Dataset path edge cases: a corpus with ZERO mask entries still
-    gets a (null) mask_png column, and a dangling media_ref must surface
-    as a null page_png row (skip-don't-fail), never silently drop the
-    page."""
+    gets a (null) mask_png column, and a dangling or null media_ref must
+    surface as a null page_png row (skip-don't-fail), never silently
+    drop the page. Through the whole pipeline such a page counts as
+    skipped, with the same output on both media paths."""
     import pandas as pd
+    import pyarrow as pa
+    import ray
     import ray.data as rd
 
+    from dup_ocropy_ray.pipelines.ocr import ocr_pipeline
     from dup_ocropy_ray.sources.media import resolve_media_join
 
     pages = rd.from_pandas(pd.DataFrame(
-        {"doc_id": ["d1", "d2"], "media_ref": ["p1", "p-missing"],
-         "span_offset": [0, 0]}))
+        {"doc_id": ["d1", "d2", "d3"],
+         "media_ref": ["p1", "p-missing", None],
+         "span_offset": [0, 0, 0]}))
     media = rd.from_pandas(pd.DataFrame(
         {"media_ref": ["p1"], "bytes": [b"\x89PNGx"]}))
     out = resolve_media_join(pages, media).to_pandas()
     out = out.set_index("doc_id").sort_index()
-    assert len(out) == 2
+    assert len(out) == 3
     assert out.loc["d1", "page_png"] == b"\x89PNGx"
     assert out.loc["d2", "page_png"] is None
+    assert out.loc["d3", "page_png"] is None
     assert out["mask_png"].isna().all()
+
+    span = pa.struct([("kind", pa.string()), ("text", pa.string()),
+                      ("media_ref", pa.string()), ("offset", pa.int32())])
+    docs = rd.from_arrow(pa.table({
+        "doc_id": ["n1", "n2"],
+        "spans": pa.array([
+            [{"kind": "text", "text": "hi", "media_ref": None, "offset": 0},
+             {"kind": "media", "text": None, "media_ref": None,
+              "offset": 1}],
+            [{"kind": "media", "text": None, "media_ref": "p-missing",
+              "offset": 0}]], pa.list_(span))}))
+    via_ds = ocr_pipeline(docs, rd.from_arrow(pa.table(
+        {"media_ref": ["p1"], "bytes": [b"\x89PNGx"]}))).to_pandas()
+    via_bc = ocr_pipeline(docs, ray.put({"p1": b"\x89PNGx"})).to_pandas()
+    a = via_ds.set_index("doc_id").sort_index()
+    b = via_bc.set_index("doc_id").sort_index()
+    pd.testing.assert_frame_equal(a, b, check_exact=True)
+    assert list(a["n_pages"]) == [1, 1]
+    assert list(a["n_skipped_pages"]) == [1, 1]
+    assert [s["kind"] for s in a.loc["n1", "spans"]] == ["text", "media"]
 
 
 def test_extract_then_ocr_matches_direct_ocr(ray_session, corpus):
