@@ -2,12 +2,16 @@
 training-data family: exact, MinHash+LSH, SimHash, n-gram Jaccard,
 embedding-cosine near-dup.
 
-Scale notes (each documented against its shuffle):
-- exact: one groupby on a 64-bit content hash (partials impossible —
-  dedup IS the shuffle) with per-group first-by-key.
+Scale notes (each documented against its shuffle). Every co-locating
+exchange below is ONE ``relational.partition_map`` on the real key
+columns (the package's one keyed exchange and its one partition hash);
+the per-key work runs vectorized inside each partition, and the
+partition count is partition_map's (``tuning.suggested_partitions()``):
+- exact: one exchange keyed on the text (partials impossible — dedup
+  IS the shuffle) with per-text first-by-id.
 - minhash-lsh: shingle→signature per batch (vectorized), explode to
-  (band, bucket) rows, groupby bands, pairwise only within buckets,
-  verify with true Jaccard.
+  (band, bucket) rows, one exchange on the band keys, pairwise only
+  within buckets, verify with true Jaccard.
 - simhash: signature per batch, bucket by the 4x16-bit band trick,
   verify Hamming distance within buckets.
 - ngram-jaccard: partition-scoped all-pairs (key = caller-chosen
@@ -32,12 +36,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from ..functions import hashing
-
-# coarse shuffle fan-out for bucketed dedup ops: the shuffle key is
-# hash(bucket) % _DEDUP_PARTITIONS so the all-to-all moves O(partitions)
-# groups; the per-bucket work happens vectorized inside each partition.
-# At cluster scale raise this to ~4-8x the executor slot count.
-_DEDUP_PARTITIONS = 64
+from .relational import bucket_join, keyed_combine, partition_map
 
 # exact n-gram Jaccard uses a dense docs x vocab matmul while the matrix
 # stays under this many float32 cells (~200 MB); module-level so tests
@@ -50,19 +49,9 @@ _DENSE_BUDGET = 50_000_000
 
 def exact_dedup(ds: rd.Dataset, text_col: str = "text", id_col: str = "doc_id"
                 ) -> rd.Dataset:
-    """Keep the min-id row per distinct text. Hash-partitioned: the
-    groupby key is the stable 64-bit content hash, so equal texts
-    co-locate; collisions are resolved inside the group by comparing the
-    actual text."""
-
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        h = hashing.hash_strings(batch[text_col].to_numpy(dtype=object))
-        # coarse partition of the hash space: equal texts still co-locate,
-        # but the shuffle has O(partitions) groups, not O(distinct texts) —
-        # the per-group UDF-call overhead is what kills tiny groups
-        batch["_part"] = (h % np.uint64(_DEDUP_PARTITIONS)).astype(np.int64)
-        return batch
+    """Keep the min-id row per distinct text. One exchange keyed on the
+    text: equal texts co-locate, and each partition holds many texts
+    (O(partitions) UDF calls, not O(distinct texts))."""
 
     def first_per_text(g: pd.DataFrame) -> pd.DataFrame:
         # vectorized within the partition: one C-level groupby-head
@@ -70,9 +59,7 @@ def exact_dedup(ds: rd.Dataset, text_col: str = "text", id_col: str = "doc_id"
             g.sort_values(id_col).groupby(text_col, as_index=False, sort=False).head(1)
         )
 
-    hashed = ds.map_batches(add_part, batch_format="pandas", batch_size=65536)
-    out = hashed.groupby("_part").map_groups(first_per_text, batch_format="pandas")
-    return out.drop_columns(["_part"])
+    return partition_map(ds, text_col, first_per_text)
 
 
 # ------------------------------------------------------------- minhash LSH
@@ -87,7 +74,7 @@ def minhash_candidates(
     shingle_k: int = 3,
     seed: int = 1234,
 ) -> rd.Dataset:
-    """(band_id, bucket, doc_id) rows — the LSH index. One groupby on
+    """(band_id, bucket, doc_id) rows — the LSH index. One exchange on
     (band_id, bucket) later yields candidate groups.
 
     Fully vectorized per batch: tokens are hashed ONCE for the whole batch
@@ -103,7 +90,7 @@ def minhash_candidates(
         )
         sigs = hashing.batch_minhash_signatures(vals, offs, a, b)
         bandkeys = hashing.batch_minhash_bands(sigs, num_bands)  # (n, B)
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 id_col: np.repeat(batch[id_col].to_numpy(dtype=object),
                                   num_bands),
@@ -111,14 +98,6 @@ def minhash_candidates(
                 "bucket": bandkeys.reshape(-1),
             }
         )
-        # coarse shuffle key (see _DEDUP_PARTITIONS): buckets are tiny,
-        # so the groupby runs on their hash-partition, not per bucket
-        out["_part"] = (
-            (out["band_id"].to_numpy(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-             + out["bucket"].to_numpy(np.uint64))
-            % np.uint64(_DEDUP_PARTITIONS)
-        ).astype(np.int64)
-        return out
 
     return ds.map_batches(sig_rows, batch_format="pandas", batch_size=4096)
 
@@ -138,11 +117,11 @@ def minhash_dup_pairs_ds(
     """Near-duplicate pairs: LSH candidates -> exact Jaccard verify,
     END-TO-END DISTRIBUTED (returns a Dataset of (doc_a, doc_b, jaccard)).
 
-    Stages (nothing pair- or text-sized ever lands on the driver), all on
-    the repo's fixed-bucket shuffle pattern — groupby(hash % P) with a
-    vectorized partition body — NO Ray hash-join operators (each join
-    spins up its own aggregator actor pool; three of them dominated this
-    pipeline's wall time and their empty-partition blocks have no schema):
+    Stages (nothing pair- or text-sized ever lands on the driver), each
+    one ``partition_map`` with a vectorized partition body — NO Ray
+    hash-join operators (each join spins up its own aggregator actor
+    pool; three of them dominated this pipeline's wall time and their
+    empty-partition blocks have no schema):
 
     1. candidate pairs inside each LSH-bucket hash-partition, locally
        deduped (a pair may still surface from several bands / partitions);
@@ -155,7 +134,7 @@ def minhash_dup_pairs_ds(
        local side row references (the prune that the left_semi join used
        to do, now partition-local), and each side row leaves with its
        member's set as raw uint64 bytes;
-    3. ONE candidate-scale shuffle keyed on hash(doc_a)^mix(doc_b): the
+    3. ONE candidate-scale shuffle keyed on (doc_a, doc_b): the
        two sides of each pair co-locate, exact Jaccard via per-pair
        C-level ``np.intersect1d`` on sorted-unique uint64 sets,
        threshold filter.
@@ -179,26 +158,17 @@ def minhash_dup_pairs_ds(
     # size-calc errors (np.vectorize over 0-row object columns) or RefBundle
     # schema-mismatch warnings, and shuffle schema dedup hashes arrow
     # schemas cleanly
-    _sch = ds.schema()  # ray.data.Schema; arrow types for arrow blocks,
-    id_type = dict(zip(_sch.names, _sch.types))[id_col]
-    if not isinstance(id_type, pa.DataType):  # numpy/py types for pandas
-        try:
-            id_type = pa.from_numpy_dtype(np.dtype(id_type))
-        except (pa.ArrowNotImplementedError, TypeError):
-            id_type = pa.string()  # object-dtype ids are strings here
+    id_type = _arrow_id_type(ds, id_col)
     _PAIRS_SCHEMA = pa.schema([("doc_a", id_type), ("doc_b", id_type)])
     _SIDED_SCHEMA = pa.schema([
         ("doc_a", id_type), ("doc_b", id_type), ("side", pa.int8()),
-        ("sh", pa.binary()), ("_vpart", pa.int64()),
+        ("sh", pa.binary()),
     ])
     _OUT_SCHEMA = pa.schema([
         ("doc_a", id_type), ("doc_b", id_type), ("jaccard", pa.float64()),
     ])
 
     def partition_pairs(g: pd.DataFrame) -> pa.Table:
-        empty = _PAIRS_SCHEMA.empty_table()
-        if len(g) == 0:
-            return empty
         # fully vectorized all-pairs within (band_id, bucket) groups:
         # lexsort rows by (group, id), then emit every i<j index pair per
         # group with repeat/cumsum arithmetic — O(total_pairs), no Python
@@ -221,7 +191,7 @@ def minhash_dup_pairs_ds(
         nright = sizes[grp_id] - 1 - pos
         total = int(nright.sum())
         if total == 0:
-            return empty
+            return _PAIRS_SCHEMA.empty_table()
         left = np.repeat(np.arange(len(key)), nright)
         # right index = left index + (1..nright) per left row, built from
         # a global arange minus each segment's start offset
@@ -236,9 +206,7 @@ def minhash_dup_pairs_ds(
             schema=_PAIRS_SCHEMA,
         )
 
-    raw_pairs = cand.groupby("_part").map_groups(
-        partition_pairs, batch_format="pandas"
-    )
+    raw_pairs = partition_map(cand, ["band_id", "bucket"], partition_pairs)
 
     bloom_ref = None
     if prune_corpus:
@@ -268,20 +236,14 @@ def minhash_dup_pairs_ds(
 
         bloom_ref = ray.put(acc)
 
-    mix = np.uint64(0x9E3779B97F4A7C15)
-
     _UNION_SCHEMA = pa.schema([
         ("key", id_type), ("text", pa.string()),
         ("doc_a", id_type), ("doc_b", id_type),
-        ("side", pa.int8()), ("_part", pa.int64()),
+        ("side", pa.int8()),
     ])
 
-    def _part_of(keys: np.ndarray) -> pa.Array:
-        h = hashing.hash_strings(keys)
-        return pa.array((h % np.uint64(_DEDUP_PARTITIONS)).astype("int64"))
-
     # pair-side rows: each candidate pair becomes two rows, keyed by one
-    # member each, sharing the corpus rows' shuffle key space
+    # member each, sharing the corpus rows' "key" column
     def explode_sides(b: pd.DataFrame) -> pa.Table:
         n = len(b)
         a_ids = b["doc_a"].to_numpy(dtype=object)
@@ -294,7 +256,6 @@ def minhash_dup_pairs_ds(
             pa.array(np.concatenate([b_ids, b_ids]), id_type),
             pa.array(np.concatenate([np.zeros(n, np.int8),
                                      np.ones(n, np.int8)])),
-            _part_of(key),
         ], schema=_UNION_SCHEMA)
 
     def corpus_rows(b: pd.DataFrame) -> pa.Table:
@@ -312,7 +273,6 @@ def minhash_dup_pairs_ds(
             pa.nulls(n, id_type),
             pa.nulls(n, id_type),
             pa.array(np.full(n, -1, dtype=np.int8)),
-            _part_of(key),
         ], schema=_UNION_SCHEMA)
 
     unioned = (
@@ -342,33 +302,24 @@ def minhash_dup_pairs_ds(
         sh = sides["key"].map(by_id)
         sides = sides[sh.notna().to_numpy()]
         sh = sh.dropna()
-        h = (hashing.hash_strings(sides["doc_a"].to_numpy(dtype=object))
-             ^ (hashing.hash_strings(sides["doc_b"].to_numpy(dtype=object))
-                * mix))
         return pa.Table.from_arrays([
             pa.array(sides["doc_a"].to_numpy(dtype=object), id_type),
             pa.array(sides["doc_b"].to_numpy(dtype=object), id_type),
             pa.array(sides["side"].to_numpy(np.int8)),
             pa.array(sh.to_numpy(dtype=object), pa.binary()),
-            pa.array((h % np.uint64(_DEDUP_PARTITIONS)).astype("int64")),
         ], schema=_SIDED_SCHEMA)
 
-    sided = unioned.groupby("_part").map_groups(
-        attach_sets, batch_format="pandas"
-    )
+    sided = partition_map(unioned, "key", attach_sets)
 
     # shuffle 2 (candidate-scale): both sides of a pair co-locate; pivot
     # and verify with exact Jaccard
     def verify(g: pd.DataFrame) -> pa.Table:
-        empty = _OUT_SCHEMA.empty_table()
-        if len(g) == 0:
-            return empty
         g = g.sort_values(["doc_a", "doc_b", "side"], kind="stable")
         ga = g[g["side"] == 0].set_index(["doc_a", "doc_b"])["sh"]
         gb = g[g["side"] == 1].set_index(["doc_a", "doc_b"])["sh"]
         both = pd.DataFrame({"sh_a": ga, "sh_b": gb}).dropna()
         if len(both) == 0:
-            return empty
+            return _OUT_SCHEMA.empty_table()
         jac = np.empty(len(both), dtype=np.float64)
         for i, (A, B) in enumerate(zip(both["sh_a"], both["sh_b"])):
             A = np.frombuffer(A or b"", dtype=np.uint64)
@@ -384,7 +335,7 @@ def minhash_dup_pairs_ds(
             pa.array(jac[keep]),
         ], schema=_OUT_SCHEMA)
 
-    return sided.groupby("_vpart").map_groups(verify, batch_format="pandas")
+    return partition_map(sided, ["doc_a", "doc_b"], verify)
 
 
 def minhash_dedup_pairs(
@@ -436,13 +387,16 @@ def connected_components(
     groups (transitive: a~b, b~c puts a,b,c in one cluster even when
     a,c never paired).
 
-    Distributed iterative min-label propagation on the fixed-bucket
-    shuffle pattern: per round, (1) one vertex-keyed shuffle co-locates
+    Distributed iterative min-label propagation on vertex-keyed
+    ``partition_map`` exchanges: per round, (1) one exchange co-locates
     each node's current label with its incident edges and emits a
     (neighbor, label) message per edge, (2) one more vertex-keyed
-    shuffle takes the min over incoming messages and the node's own
-    label. Rounds = graph diameter (near-dup components are clique-ish,
-    so 2-3 in practice; ``max_iters`` caps pathological chains).
+    exchange takes the min over incoming messages and the node's own
+    label. ``num_partitions`` defaults to the edge volume (~250k
+    symmetric edge rows per partition, at least 4), capped at
+    partition_map's default. Rounds = graph diameter (near-dup
+    components are clique-ish, so 2-3 in practice; ``max_iters`` caps
+    pathological chains).
     Everything is EDGE/VERTEX-scale — the candidate graph, not the
     corpus — and the per-round ``materialize()`` holds only (node,
     label) rows in the object store; the driver sees a single changed
@@ -451,25 +405,41 @@ def connected_components(
 
     Long-diameter graphs: after ``max_iters`` plain rounds the loop
     engages POINTER JUMPING — each extra round ALSO folds lbl(lbl(v))
-    into v via a request/reply pass on the same bucket shuffle, so the
-    reachable-label horizon doubles per round and any diameter
+    into v via a request/reply pass on the same vertex-keyed exchange,
+    so the reachable-label horizon doubles per round and any diameter
     converges in O(log d) further rounds (a 61-node chain used to
     come back as 29 clusters when the plain loop hit the cap silently;
     now it collapses to 1). Near-dup graphs are clique-ish and finish
     in 2-3 plain rounds, never paying the jump pass's extra shuffle."""
-    # materialize FIRST: the schema() call below and the sym_raw
-    # materialize would otherwise each execute the caller's (possibly
-    # expensive) lazy pair pipeline — measured 2x the whole
+    # materialize FIRST: the schema() and count() calls below and the
+    # sym materialize would otherwise each execute the caller's
+    # (possibly expensive) lazy pair pipeline — measured 2x the whole
     # semantic_dedup pair+cc cost. Edges are pair-scale by contract.
+    from ..tuning import suggested_partitions
+
     edges = edges.materialize()
     id_type = _arrow_id_type(edges, a_col)
     _SYM_SCHEMA = pa.schema([("v", id_type), ("u", id_type),
-                             ("lbl", id_type), ("chg", pa.int8()),
-                             ("_part", pa.int64())])
+                             ("lbl", id_type), ("chg", pa.int8())])
     _LAB_SCHEMA = pa.schema([("v", id_type), ("lbl", id_type),
-                             ("changed", pa.int64()), ("_part", pa.int64())])
+                             ("changed", pa.int64())])
     _MSG_SCHEMA = pa.schema([("node", id_type), ("cand", id_type),
-                             ("self", pa.int8()), ("_part2", pa.int64())])
+                             ("self", pa.int8())])
+
+    n_edges = edges.count()
+    if n_edges == 0:
+        return rd.from_arrow(pa.schema(
+            [("doc_id", id_type), ("cluster_id", id_type)]).empty_table())
+    if num_partitions is None:
+        # the loop pays ~2 shuffle executions per ROUND, so partition
+        # fan-out is pure per-round overhead until partitions are
+        # actually full; scale with the symmetric edge volume (~250k
+        # rows/partition) up to partition_map's default
+        num_partitions = min(suggested_partitions(),
+                             max(4, 2 * n_edges // 250_000 + 1))
+
+    def by_vertex(ds: rd.Dataset, key: str, fn) -> rd.Dataset:
+        return partition_map(ds, key, fn, num_partitions=num_partitions)
 
     def sym_rows(b: pd.DataFrame) -> pa.Table:
         a = b[a_col].to_numpy(dtype=object)
@@ -478,57 +448,26 @@ def connected_components(
         u = np.concatenate([bb, a])
         return pa.Table.from_arrays(
             [pa.array(v, id_type), pa.array(u, id_type),
-             pa.nulls(len(v), id_type), pa.nulls(len(v), pa.int8()),
-             pa.nulls(len(v), pa.int64())],
+             pa.nulls(len(v), id_type), pa.nulls(len(v), pa.int8())],
             schema=_SYM_SCHEMA)
 
-    # edge-scale; re-read every round, never re-computed. Materialized
-    # BEFORE choosing the partition fan-out so the count doesn't
-    # re-execute the caller's (possibly expensive) pair pipeline.
-    sym_raw = edges.map_batches(sym_rows, batch_format="pandas").materialize()
-    n_sym = sym_raw.count()
-    if n_sym == 0:
-        return rd.from_arrow(pa.schema(
-            [("doc_id", id_type), ("cluster_id", id_type)]).empty_table())
-    if num_partitions is None:
-        # the loop pays ~2 shuffle executions per ROUND, so partition
-        # fan-out is pure per-round overhead until partitions are
-        # actually full; scale with edge volume (~250k rows/partition)
-        # instead of the corpus-sized _DEDUP_PARTITIONS default
-        num_partitions = int(min(_DEDUP_PARTITIONS,
-                                 max(4, n_sym // 250_000 + 1)))
-
-    def part_of(vals: np.ndarray) -> np.ndarray:
-        return (hashing.hash_strings(vals)
-                % np.uint64(num_partitions)).astype("int64")
-
-    def tag_sym(b: pd.DataFrame) -> pa.Table:
-        v = b["v"].to_numpy(dtype=object)
-        return pa.Table.from_arrays(
-            [pa.array(v, id_type),
-             pa.array(b["u"].to_numpy(dtype=object), id_type),
-             pa.nulls(len(b), id_type), pa.nulls(len(b), pa.int8()),
-             pa.array(part_of(v))],
-            schema=_SYM_SCHEMA)
-
+    # edge-scale; re-read every round, never re-computed.
     # repartition(shuffle=False) everywhere below is a block-count
     # compaction, not an exchange: Ray's sort shuffle emits one output
     # block per INPUT block (empties included), so without compaction the
     # per-round union feeds ever more blocks back into the next sort and
     # round time grows linearly even as the frontier shrinks
-    sym = (sym_raw.map_batches(tag_sym, batch_format="pandas")
+    sym = (edges.map_batches(sym_rows, batch_format="pandas")
            .repartition(num_partitions).materialize())
 
     def init_labels(g: pd.DataFrame) -> pa.Table:
         v = pd.unique(g["v"])
         return pa.Table.from_arrays(
             [pa.array(v, id_type), pa.array(v, id_type),
-             pa.array(np.ones(len(v), dtype=np.int64)),
-             pa.array(part_of(v))], schema=_LAB_SCHEMA)
+             pa.array(np.ones(len(v), dtype=np.int64))], schema=_LAB_SCHEMA)
 
-    lab = sym.groupby("_part").map_groups(
-        init_labels, batch_format="pandas"
-    ).repartition(num_partitions).materialize()
+    lab = by_vertex(sym, "v", init_labels).repartition(
+        num_partitions).materialize()
 
     def send_msgs(g: pd.DataFrame) -> pa.Table:
         labs = g[g["u"].isna()]
@@ -548,22 +487,13 @@ def connected_components(
                                labs["lbl"].to_numpy(dtype=object)])
         selff = np.concatenate([np.zeros(len(es), np.int8),
                                 np.ones(len(labs), np.int8)])
-        # CANONICALIZE before hashing: the unioned frame's nullable u/lbl
-        # columns coerce int ids to float64 in pandas, and
-        # hash(120.0) != hash(120) — partitioning on the raw objects sent
-        # a node's edge-derived messages and its self row to DIFFERENT
-        # partitions (stale duplicate labels). Round-trip through the
-        # arrow id type so every stage hashes identical representations.
-        node_arr = pa.array(node).cast(id_type)
-        cand_arr = pa.array(cand).cast(id_type)
-        node_canon = node_arr.to_numpy(zero_copy_only=False).astype(object)
+        # the nullable u/lbl columns come back float64 for int ids:
+        # cast to the id type so the output schema holds
         return pa.Table.from_arrays(
-            [node_arr, cand_arr, pa.array(selff),
-             pa.array(part_of(node_canon))], schema=_MSG_SCHEMA)
+            [pa.array(node).cast(id_type), pa.array(cand).cast(id_type),
+             pa.array(selff)], schema=_MSG_SCHEMA)
 
     def take_min(g: pd.DataFrame) -> pa.Table:
-        if len(g) == 0:
-            return _LAB_SCHEMA.empty_table()
         new = g.groupby("node", sort=False)["cand"].min()
         selfrows = g[g["self"].isin((1, 3))]
         old = selfrows.set_index("node")["cand"]
@@ -582,7 +512,7 @@ def connected_components(
         return pa.Table.from_arrays(
             [pa.array(v, id_type),
              pa.array(new.to_numpy(dtype=object), id_type),
-             pa.array(changed), pa.array(part_of(v))], schema=_LAB_SCHEMA)
+             pa.array(changed)], schema=_LAB_SCHEMA)
 
     def lab_as_msgs(t: pa.Table) -> pa.Table:
         # label table re-expressed in message space: self rows keyed by
@@ -593,18 +523,15 @@ def connected_components(
         selfcode = pc.cast(pc.add(
             pc.multiply(t.column("changed"), 2), 1), pa.int8())
         return pa.Table.from_arrays(
-            [t.column("v"), t.column("lbl"), selfcode,
-             t.column("_part")], schema=_MSG_SCHEMA)
+            [t.column("v"), t.column("lbl"), selfcode], schema=_MSG_SCHEMA)
 
     def jump_requests(t: pa.Table) -> pa.Table:
-        # (node=lbl(v), cand=v, self=2) keyed by part_of(lbl): lands in
-        # the partition holding lbl(v)'s own label row
-        l = t.column("lbl")
-        l_canon = l.to_numpy(zero_copy_only=False).astype(object)
+        # (node=lbl(v), cand=v, self=2) keyed by node: lands in the
+        # partition holding lbl(v)'s own label row
         return pa.Table.from_arrays(
-            [l, t.column("v"),
-             pa.nulls(t.num_rows, pa.int8()).fill_null(2),
-             pa.array(part_of(l_canon))], schema=_MSG_SCHEMA)
+            [t.column("lbl"), t.column("v"),
+             pa.nulls(t.num_rows, pa.int8()).fill_null(2)],
+            schema=_MSG_SCHEMA)
 
     def jump_reply(g: pd.DataFrame) -> pa.Table:
         # label rows (self=1) + requests (self=2) co-located: answer
@@ -616,55 +543,40 @@ def connected_components(
         lbl_of = dict(zip(labs["node"], labs["cand"]))
         v = rq["cand"].to_numpy(dtype=object)
         cand = rq["node"].map(lbl_of).to_numpy(dtype=object)
-        v_arr = pa.array(v).cast(id_type)
-        v_canon = v_arr.to_numpy(zero_copy_only=False).astype(object)
         return pa.Table.from_arrays(
-            [v_arr, pa.array(cand).cast(id_type),
-             pa.nulls(len(rq), pa.int8()).fill_null(0),
-             pa.array(part_of(v_canon))], schema=_MSG_SCHEMA)
+            [pa.array(v).cast(id_type), pa.array(cand).cast(id_type),
+             pa.nulls(len(rq), pa.int8()).fill_null(0)], schema=_MSG_SCHEMA)
 
-    import os as _os
-    import time as _time
-    _dbg = _os.environ.get("DUP_CC_DEBUG")
     # plain rounds handle the clique-ish common case; from round 3 on
     # (still changing) each round adds the jump pass, doubling the
     # label horizon — 64 jump rounds cover any graph, so hitting the
     # cap means a bug, not a big graph
     _jump_from = min(3, max_iters - 1)
     for _round in range(max_iters + 64):
-        _t0 = _time.time()
-        # label rows ride the same vertex-keyed partition space as the
+        # label rows ride the same vertex-keyed exchange as the
         # symmetric edges: mark them with a null "u"
         lab_as_union = lab.map_batches(
             lambda t: pa.Table.from_arrays(
                 [t.column("v"), pa.nulls(t.num_rows, id_type),
-                 t.column("lbl"), t.column("changed").cast(pa.int8()),
-                 t.column("_part")], schema=_SYM_SCHEMA),
+                 t.column("lbl"), t.column("changed").cast(pa.int8())],
+                schema=_SYM_SCHEMA),
             batch_format="pyarrow",
         )
-        msgs = sym.union(lab_as_union).groupby("_part").map_groups(
-            send_msgs, batch_format="pandas"
-        )
-        lab = msgs.groupby("_part2").map_groups(
-            take_min, batch_format="pandas"
-        ).repartition(num_partitions).materialize()
+        msgs = by_vertex(sym.union(lab_as_union), "v", send_msgs)
+        lab = by_vertex(msgs, "node", take_min).repartition(
+            num_partitions).materialize()
         if _round >= _jump_from and lab.sum("changed"):
             # shortcut pass: v also learns lbl(lbl(v))
-            replies = (lab.map_batches(lab_as_msgs, batch_format="pyarrow")
-                       .union(lab.map_batches(jump_requests,
-                                              batch_format="pyarrow"))
-                       .groupby("_part2").map_groups(
-                           jump_reply, batch_format="pandas"))
-            lab = (lab.map_batches(lab_as_msgs, batch_format="pyarrow")
-                   .union(replies)
-                   .groupby("_part2").map_groups(
-                       take_min, batch_format="pandas")
-                   .repartition(num_partitions).materialize())
-        changed = lab.sum("changed")
-        if _dbg:
-            print(f"[cc] round {_round} changed {changed} "
-                  f"sec {_time.time() - _t0:.2f}", flush=True)
-        if not changed:
+            replies = by_vertex(
+                lab.map_batches(lab_as_msgs, batch_format="pyarrow")
+                .union(lab.map_batches(jump_requests,
+                                       batch_format="pyarrow")),
+                "node", jump_reply)
+            lab = by_vertex(
+                lab.map_batches(lab_as_msgs, batch_format="pyarrow")
+                .union(replies), "node", take_min).repartition(
+                    num_partitions).materialize()
+        if not lab.sum("changed"):
             break
     else:
         raise RuntimeError(
@@ -694,10 +606,10 @@ def keep_best(
     calling, so the exchanges move metadata-width rows), ``labels`` is
     ``connected_components`` output.
 
-    Two fixed-bucket shuffles, both metadata-scale: (1) doc-id-keyed to
-    attach each doc's cluster label (absent label = own id), (2)
-    cluster-keyed to pick the argmax-score member vectorized per
-    partition. No broadcast of the label map — dup sets at web scale can
+    Two ``partition_map`` exchanges, both metadata-scale: (1)
+    doc-id-keyed to attach each doc's cluster label (absent label = own
+    id), (2) cluster-keyed to pick the argmax-score member vectorized
+    per partition. No broadcast of the label map — dup sets at web scale can
     be a double-digit percentage of the corpus, far past ray.put
     comfort.
 
@@ -707,34 +619,26 @@ def keep_best(
     id_type = _arrow_id_type(docs, id_col)
     _UNION_SCHEMA = pa.schema([
         ("key", id_type), ("score", pa.float64()), ("cluster", id_type),
-        ("_part", pa.int64()),
     ])
     _LABELED_SCHEMA = pa.schema([
         ("doc_id", id_type), ("cluster_id", id_type),
-        ("score", pa.float64()), ("_part2", pa.int64()),
+        ("score", pa.float64()),
     ])
     _OUT_SCHEMA = pa.schema([("doc_id", id_type), ("cluster_id", id_type)]
                             + ([("kept", pa.bool_())] if emit_all else []))
 
-    def part_of(vals: np.ndarray) -> np.ndarray:
-        return (hashing.hash_strings(vals)
-                % np.uint64(_DEDUP_PARTITIONS)).astype("int64")
-
     def doc_rows(b: pd.DataFrame) -> pa.Table:
-        key = b[id_col].to_numpy(dtype=object)
         return pa.Table.from_arrays(
-            [pa.array(key, id_type),
+            [pa.array(b[id_col].to_numpy(dtype=object), id_type),
              pa.array(b[score_col].to_numpy(np.float64)),
-             pa.nulls(len(b), id_type), pa.array(part_of(key))],
+             pa.nulls(len(b), id_type)],
             schema=_UNION_SCHEMA)
 
     def label_rows(b: pd.DataFrame) -> pa.Table:
-        key = b["doc_id"].to_numpy(dtype=object)
         return pa.Table.from_arrays(
-            [pa.array(key, id_type),
+            [pa.array(b["doc_id"].to_numpy(dtype=object), id_type),
              pa.nulls(len(b), pa.float64()),
-             pa.array(b["cluster_id"].to_numpy(dtype=object), id_type),
-             pa.array(part_of(key))],
+             pa.array(b["cluster_id"].to_numpy(dtype=object), id_type)],
             schema=_UNION_SCHEMA)
 
     unioned = docs.map_batches(doc_rows, batch_format="pandas").union(
@@ -749,23 +653,16 @@ def keep_best(
         key = d["key"].to_numpy(dtype=object)
         mapped = d["key"].map(cl_of)
         cluster = mapped.where(mapped.notna(), d["key"]).to_numpy(dtype=object)
-        # canonicalize through the arrow id type before hashing: the
-        # nullable union frame coerces int ids to float64 in pandas and
-        # hash(120.0) != hash(120) (same trap as connected_components)
-        cl_arr = pa.array(cluster).cast(id_type)
-        cl_canon = cl_arr.to_numpy(zero_copy_only=False).astype(object)
+        # the nullable cluster column comes back float64 for int ids:
+        # cast to the id type so the output schema holds
         return pa.Table.from_arrays(
-            [pa.array(key, id_type).cast(id_type), cl_arr,
-             pa.array(d["score"].to_numpy(np.float64)),
-             pa.array(part_of(cl_canon))],
+            [pa.array(key, id_type), pa.array(cluster).cast(id_type),
+             pa.array(d["score"].to_numpy(np.float64))],
             schema=_LABELED_SCHEMA)
 
-    labeled = unioned.groupby("_part").map_groups(
-        attach_cluster, batch_format="pandas")
+    labeled = partition_map(unioned, "key", attach_cluster)
 
     def pick(g: pd.DataFrame) -> pa.Table:
-        if len(g) == 0:
-            return _OUT_SCHEMA.empty_table()
         ordered = g.sort_values(["cluster_id", "score", "doc_id"],
                                 ascending=[True, False, True], kind="stable")
         if emit_all:
@@ -782,7 +679,7 @@ def keep_best(
              pa.array(best["cluster_id"].to_numpy(dtype=object), id_type)],
             schema=_OUT_SCHEMA)
 
-    return labeled.groupby("_part2").map_groups(pick, batch_format="pandas")
+    return partition_map(labeled, "cluster_id", pick)
 
 
 # ---------------------------------------------------------------- simhash
@@ -812,8 +709,8 @@ def hamming64_dup_pairs_ds(tbl: rd.Dataset, id_col: str, sig_col: str,
     """Near-dup pairs for ANY 64-bit signature column (SimHash text
     sketches, image dHashes, ...) by 4x16-bit banding + Hamming verify —
     two signatures within Hamming distance 3 share at least one band.
-    One shuffle: per-row signatures explode to 4 (band_id, band_val)
-    rows, partitioned on hash(band_id, band_val) % _DEDUP_PARTITIONS;
+    One exchange: per-row signatures explode to 4 (band_id, band_val)
+    rows, one ``partition_map`` keyed on (band_id, band_val);
     pairs are generated inside each partition (python loop only over
     multi-row buckets, which are rare by construction).
 
@@ -835,13 +732,7 @@ def hamming64_dup_pairs_ds(tbl: rd.Dataset, id_col: str, sig_col: str,
                 "band_val": ((sig >> np.uint64(16 * bnd))
                              & np.uint64(0xFFFF)).astype(np.int64),
             }))
-        out = pd.concat(frames, ignore_index=True)
-        out["_part"] = (
-            (out["band_id"].to_numpy(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-             + out["band_val"].to_numpy(np.uint64))
-            % np.uint64(_DEDUP_PARTITIONS)
-        ).astype(np.int64)
-        return out
+        return pd.concat(frames, ignore_index=True)
 
     rows = tbl.map_batches(explode, batch_format="pandas", batch_size=65536)
 
@@ -875,8 +766,7 @@ def hamming64_dup_pairs_ds(tbl: rd.Dataset, id_col: str, sig_col: str,
                             out.append((recs[i][0], recs[j][0], d))
         return pd.DataFrame(out, columns=["doc_a", "doc_b", "hamming"])
 
-    return rows.groupby("_part").map_groups(
-        partition_pairs, batch_format="pandas")
+    return partition_map(rows, ["band_id", "band_val"], partition_pairs)
 
 
 def hamming64_dup_pairs(tbl: rd.Dataset, id_col: str, sig_col: str,
@@ -1123,8 +1013,8 @@ def embedding_dup_pairs(
 # Training Data Makes Language Models Better"): find W-word windows that
 # repeat across documents, then strip the covered words. Their suffix
 # array is replaced by the engine-native shape: window extraction is a
-# vectorized per-batch map, co-location of equal grams is ONE coarse
-# hash shuffle (same _DEDUP_PARTITIONS pattern as exact dedup), and the
+# vectorized per-batch map, co-location of equal grams is ONE
+# partition_map exchange keyed on the gram (as in exact dedup), and the
 # strip pass re-reads the corpus against a broadcast dup-gram hash set.
 
 
@@ -1138,19 +1028,15 @@ def duplicated_ngrams(
     """(gram, n_docs, n_occ) for every W-word window appearing in >=
     ``min_docs`` distinct docs. Gram strings ride the shuffle so the
     output is self-describing; at 100 TB carry the uint64 gram hash plus
-    one exemplar instead (hash is already the shuffle key) and raise
-    _DEDUP_PARTITIONS to ~4-8x the executor slots."""
+    one exemplar instead and key the exchange on the hash."""
 
     def gram_rows(b: pd.DataFrame) -> pd.DataFrame:
         grams, doc_idx, _pos = hashing.batch_word_grams(
             b[text_col].tolist(), window)
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "gram": grams,
             id_col: b[id_col].to_numpy()[doc_idx],
         })
-        h = hashing.hash_strings(grams)
-        out["_part"] = (h % np.uint64(_DEDUP_PARTITIONS)).astype(np.int64)
-        return out
 
     def agg(g: pd.DataFrame) -> pd.DataFrame:
         r = g.groupby("gram", sort=False).agg(
@@ -1163,7 +1049,7 @@ def duplicated_ngrams(
     # U-dtype gram buffers are ~4 B/char: cap the map batch so one
     # batch's window array stays ~tens of MB
     rows = ds.map_batches(gram_rows, batch_format="pandas", batch_size=4096)
-    return rows.groupby("_part").map_groups(agg, batch_format="pandas")
+    return partition_map(rows, "gram", agg)
 
 
 # Above this many duplicated window hashes the sorted-array broadcast
@@ -1216,7 +1102,6 @@ def _dup_window_index(
         return pd.DataFrame({
             "h": gh,
             id_col: b[id_col].to_numpy()[doc_idx],
-            "_part": (gh % np.uint64(_DEDUP_PARTITIONS)).astype(np.int64),
         })
 
     def dup_only(g: pd.DataFrame) -> pd.DataFrame:
@@ -1224,8 +1109,9 @@ def _dup_window_index(
         return pd.DataFrame({"h": nd.index[nd >= min_docs].to_numpy(
             dtype=np.uint64)})
 
-    dup = (ds.map_batches(hash_rows, batch_format="pandas", batch_size=8192)
-             .groupby("_part").map_groups(dup_only, batch_format="pandas"))
+    dup = partition_map(
+        ds.map_batches(hash_rows, batch_format="pandas", batch_size=8192),
+        "h", dup_only)
     # dup-scale (8 B/window), far below corpus scale; pinning it lets
     # the count probe and the downstream consumer share one execution
     dup = dup.materialize()
@@ -1316,15 +1202,8 @@ def doc_dup_spans(
 
         return ds.map_batches(count, batch_format="pandas", batch_size=4096)
 
-    from .relational import bucket_join
-
     id_type = _arrow_id_type(ds, id_col)
     nbits = int(probe.size) * 64  # actual (adaptively sized) bitmap
-
-    def _with_dc(g: pd.DataFrame) -> pd.DataFrame:
-        g["_dc"] = (hashing.hash_strings(g[id_col].to_numpy(dtype=object))
-                    % np.uint64(_DEDUP_PARTITIONS)).astype(np.int64)
-        return g
 
     def doc_rows(b: pd.DataFrame) -> pd.DataFrame:
         """One (doc, n_spans) row per doc with >=1 window, routed
@@ -1336,10 +1215,10 @@ def doc_dup_spans(
                       dtype=np.int64)
         n_spans = np.maximum(nw - window + 1, 0)
         keep = n_spans > 0
-        return _with_dc(pd.DataFrame({
+        return pd.DataFrame({
             id_col: b[id_col].to_numpy()[keep],
             "n_spans": n_spans[keep],
-            "n_dup_spans": np.zeros(int(keep.sum()), dtype=np.int64)}))
+            "n_dup_spans": np.zeros(int(keep.sum()), dtype=np.int64)})
 
     def cand_rows(b: pd.DataFrame) -> pd.DataFrame:
         """(doc, h, cnt) per DISTINCT Bloom-hit window hash (cnt =
@@ -1365,10 +1244,10 @@ def doc_dup_spans(
         right_schema=pa.schema([("h", pa.uint64())]))
 
     def v_rows(b: pd.DataFrame) -> pd.DataFrame:
-        return _with_dc(pd.DataFrame({
+        return pd.DataFrame({
             id_col: b[id_col].to_numpy(),
             "n_spans": np.zeros(len(b), dtype=np.int64),
-            "n_dup_spans": b["cnt"].to_numpy(np.int64)}))
+            "n_dup_spans": b["cnt"].to_numpy(np.int64)})
 
     def fin(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby(id_col, as_index=False, sort=False)[
@@ -1377,12 +1256,11 @@ def doc_dup_spans(
         out["n_dup_spans"] = out.n_dup_spans.astype(np.int64)
         return out
 
-    docs_tagged = ds.map_batches(doc_rows, batch_format="pandas",
-                                 batch_size=4096)
-    return (docs_tagged
-            .union(ver.map_batches(v_rows, batch_format="pandas",
-                                   batch_size=65536))
-            .groupby("_dc").map_groups(fin, batch_format="pandas"))
+    return partition_map(
+        ds.map_batches(doc_rows, batch_format="pandas", batch_size=4096)
+        .union(ver.map_batches(v_rows, batch_format="pandas",
+                               batch_size=65536)),
+        id_col, fin)
 
 
 def _strip_from_hits(ids: np.ndarray, texts: list, hit_doc: np.ndarray,
@@ -1477,15 +1355,8 @@ def strip_dup_spans(
 
         return ds.map_batches(strip, batch_format="pandas", batch_size=4096)
 
-    from .relational import bucket_join
-
     id_type = _arrow_id_type(ds, id_col)
     nbits = int(probe.size) * 64  # actual (adaptively sized) bitmap
-
-    def _with_dc(b: pd.DataFrame) -> pd.DataFrame:
-        b["_dc"] = (hashing.hash_strings(b[id_col].to_numpy(dtype=object))
-                    % np.uint64(_DEDUP_PARTITIONS)).astype(np.int64)
-        return b
 
     def doc_rows(b: pd.DataFrame) -> pd.DataFrame:
         """(doc, text) row per doc with >=1 word, routed STRAIGHT to
@@ -1497,11 +1368,11 @@ def strip_dup_spans(
                           dtype=np.int64)
         keep = nwords > 0
         nk = int(keep.sum())
-        return _with_dc(pd.DataFrame({
+        return pd.DataFrame({
             id_col: b[id_col].to_numpy()[keep],
             "text": np.asarray(texts, dtype=object)[keep],
             "pos": np.full(nk, -1, dtype=np.int64),
-            "kind": np.zeros(nk, dtype=np.int8)}))
+            "kind": np.zeros(nk, dtype=np.int8)})
 
     def cand_rows(b: pd.DataFrame) -> pd.DataFrame:
         """(doc, pos, h) per Bloom-hit window — candidate-scale."""
@@ -1525,11 +1396,11 @@ def strip_dup_spans(
         right_schema=pa.schema([("h", pa.uint64())]))
 
     def v_rows(b: pd.DataFrame) -> pd.DataFrame:
-        return _with_dc(pd.DataFrame({
+        return pd.DataFrame({
             id_col: b[id_col].to_numpy(),
             "text": np.full(len(b), None, dtype=object),
             "pos": b["pos"].to_numpy(np.int64),
-            "kind": np.ones(len(b), dtype=np.int8)}))
+            "kind": np.ones(len(b), dtype=np.int8)})
 
     def strip_part(g: pd.DataFrame) -> pd.DataFrame:
         docs = g[g["kind"].to_numpy() == 0]
@@ -1542,11 +1413,11 @@ def strip_dup_spans(
         return _strip_from_hits(ids, texts, didx[ok],
                                 ver["pos"].to_numpy()[ok], window, id_col)
 
-    return (ds.map_batches(doc_rows, batch_format="pandas",
-                           batch_size=4096)
-            .union(ver.map_batches(v_rows, batch_format="pandas",
-                                   batch_size=65536))
-            .groupby("_dc").map_groups(strip_part, batch_format="pandas"))
+    return partition_map(
+        ds.map_batches(doc_rows, batch_format="pandas", batch_size=4096)
+        .union(ver.map_batches(v_rows, batch_format="pandas",
+                               batch_size=65536)),
+        id_col, strip_part)
 
 
 # --------------------------------------- checkpointed global exact dedup
@@ -1659,22 +1530,13 @@ def run_dedup_with_checkpoint(
             os.path.join(idx_root, "fragment=*", "*.parquet")))
         idx_ds = rd.read_parquet(idx_files)
 
-        def tag(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            b["_part"] = (b["h"].to_numpy(np.uint64)
-                          % np.uint64(_DEDUP_PARTITIONS)).astype(np.int64)
-            return b
-
         def dups(g: pd.DataFrame) -> pd.DataFrame:
             agg = g.groupby("h", sort=False)[id_col].agg(["min", "size"])
             d = agg[agg["size"] > 1]
             return pd.DataFrame({"h": d.index.to_numpy(np.uint64),
                                  "keep_id": d["min"].to_numpy()})
 
-        dup = (idx_ds.map_batches(tag, batch_format="pandas",
-                                  batch_size=65536)
-               .groupby("_part").map_groups(dups, batch_format="pandas"))
-        _commit_dir(dup, dup_dir)
+        _commit_dir(partition_map(idx_ds, "h", dups), dup_dir)
 
     # ---------------- phase 3: filtered output per fragment
     # Below max_broadcast dup rows: broadcast (sorted hashes, keep ids)
@@ -1688,8 +1550,6 @@ def run_dedup_with_checkpoint(
     dup_files = sorted(_glob.glob(os.path.join(dup_dir, "*.parquet")))
     n_dup = sum(pq.read_metadata(f).num_rows for f in dup_files)
     import ray as _ray
-
-    from .relational import bucket_join
 
     use_bloom = n_dup > max_broadcast
     if bloom_bits is None:
@@ -1884,13 +1744,12 @@ def paragraph_dedup(
     paragraph was seen earlier disappear entirely (CCNet's behavior);
     documents with no tokens produce no paragraphs and likewise drop.
 
-    Scale shape (100 TB): one stateless explode map, then two coarse
-    hash shuffles of paragraph-scale rows — paragraphs co-locate by
-    content hash (global first-by-key inside each partition, vectorized
-    groupby-head), survivors re-shuffle by doc hash and reassemble with
-    one C-level sort + groupby-join per partition. Nothing lands on the
-    driver; partition count is _DEDUP_PARTITIONS (raise with cluster
-    slot count).
+    Scale shape (100 TB): one stateless explode map, then two
+    ``partition_map`` exchanges of paragraph-scale rows — paragraphs
+    co-locate by content (global first-by-key inside each partition,
+    vectorized groupby-head), survivors re-shuffle by doc id and
+    reassemble (``_reassemble_paragraphs``). Nothing lands on the
+    driver.
 
     Returns (id_col, clean_text, n_kept, n_para) — n_para is the
     document's pre-dedup paragraph count.
@@ -1915,28 +1774,31 @@ def paragraph_dedup(
             return pd.DataFrame({id_col: np.array([], dtype=ids.dtype),
                                  "ord": np.array([], dtype=np.int64),
                                  "para": np.array([], dtype=object),
-                                 "n_para": np.array([], dtype=np.int64),
-                                 "_part": np.array([], dtype=np.int64)})
-        para = np.asarray(out_para, dtype=object)
-        h = hashing.hash_strings(para)
+                                 "n_para": np.array([], dtype=np.int64)})
         return pd.DataFrame({
             id_col: np.concatenate(out_id),
             "ord": np.concatenate(out_ord),
-            "para": para,
+            "para": np.asarray(out_para, dtype=object),
             "n_para": np.concatenate(out_npara),
-            "_part": (h % np.uint64(_DEDUP_PARTITIONS)).astype(np.int64),
         })
 
     def first_per_para(g: pd.DataFrame) -> pd.DataFrame:
         # all occurrences of a paragraph share this partition; the
         # global first is the partition-local first
-        keep = (g.sort_values([id_col, "ord"])
-                 .groupby("para", as_index=False, sort=False).head(1))
-        keep = keep.copy()
-        dh = hashing.hash_strings(
-            keep[id_col].astype(str).to_numpy(dtype=object))
-        keep["_dpart"] = (dh % np.uint64(_DEDUP_PARTITIONS)).astype(np.int64)
-        return keep.drop(columns=["_part"])
+        return (g.sort_values([id_col, "ord"])
+                .groupby("para", as_index=False, sort=False).head(1))
+
+    exploded = ds.map_batches(explode, batch_format="pandas",
+                              batch_size=8192)
+    return _reassemble_paragraphs(
+        partition_map(exploded, "para", first_per_para), id_col)
+
+
+def _reassemble_paragraphs(kept: rd.Dataset, id_col: str) -> rd.Dataset:
+    """(id_col, clean_text, n_kept, n_para) per document from its kept
+    (id_col, ord, para, n_para) paragraph rows: one exchange keyed on
+    the document id, then one C-level sort + groupby-join per partition.
+    Shared by paragraph_dedup and extract.boilerplate_strip."""
 
     def reassemble(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([id_col, "ord"])
@@ -1948,16 +1810,10 @@ def paragraph_dedup(
         agg["n_kept"] = agg["n_kept"].astype("int64")
         return agg
 
-    exploded = ds.map_batches(explode, batch_format="pandas",
-                              batch_size=8192)
-    kept = exploded.groupby("_part").map_groups(
-        first_per_para, batch_format="pandas")
-    return kept.groupby("_dpart").map_groups(
-        reassemble, batch_format="pandas")
+    return partition_map(kept, id_col, reassemble)
 
 
-def typo_pairs(terms: rd.Dataset, col: str = "term",
-               num_partitions: int = 64) -> pd.DataFrame:
+def typo_pairs(terms: rd.Dataset, col: str = "term") -> pd.DataFrame:
     """FastSS edit-distance-1 SIMILARITY JOIN over a term table: every
     unordered pair of distinct terms with Levenshtein distance <= 1
     (the spelling-variant / entity-blocking shape), WITHOUT the all-
@@ -1966,8 +1822,8 @@ def typo_pairs(terms: rd.Dataset, col: str = "term",
     Candidate generation is the deletion-neighborhood rule: two terms
     are within one edit only if they share a string in
     {t} ∪ {t minus char i} — so each term fans out to len(t)+1
-    (variant-hash, term) rows, ONE variant-hash shuffle co-locates
-    candidates, per-bucket pairs dedupe on a second pair-hash shuffle,
+    (variant, term) rows, ONE variant-keyed exchange co-locates
+    candidates, per-bucket pairs dedupe on a second pair-keyed exchange,
     and a vectorized-DP Levenshtein verify kills the false positives
     the variant rule admits (e.g. 'ab'/'ba' share 'a' and 'b' but are
     2 edits apart). Candidate groups are bounded by deletion-variant
@@ -1985,11 +1841,7 @@ def typo_pairs(terms: rd.Dataset, col: str = "term",
             for i in range(len(t)):
                 keys.append(t[:i] + t[i + 1:])
                 terms_out.append(t)
-        h = hashing.hash_strings(np.asarray(keys, dtype=object))
-        return pd.DataFrame({
-            "_part": (h % np.uint64(num_partitions)).astype(np.int64),
-            "key": keys, "t": terms_out,
-        })
+        return pd.DataFrame({"key": keys, "t": terms_out})
 
     def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
         a_out: list[str] = []
@@ -2004,15 +1856,8 @@ def typo_pairs(terms: rd.Dataset, col: str = "term",
             # typed Arrow empty (a size-0 object-dtype pandas block
             # trips Ray's block-size estimator)
             return pa.table({"a": pa.array([], pa.string()),
-                             "b": pa.array([], pa.string()),
-                             "_p2": pa.array([], pa.int64())})
-        h = hashing.hash_strings(
-            np.asarray([a + "\x00" + b for a, b in zip(a_out, b_out)],
-                       dtype=object))
-        return pd.DataFrame({
-            "a": a_out, "b": b_out,
-            "_p2": (h % np.uint64(num_partitions)).astype(np.int64),
-        })
+                             "b": pa.array([], pa.string())})
+        return pd.DataFrame({"a": a_out, "b": b_out})
 
     def verify(g: pd.DataFrame):
         d = g.drop_duplicates(["a", "b"])
@@ -2026,18 +1871,15 @@ def typo_pairs(terms: rd.Dataset, col: str = "term",
                              "dist": pa.array([], pa.int64())})
         return d[["a", "b", "dist"]]
 
-    out = (terms.map_batches(variants, batch_format="pandas")
-           .groupby("_part").map_groups(bucket_pairs,
-                                        batch_format="pandas")
-           .groupby("_p2").map_groups(verify, batch_format="pandas")
-           .to_pandas())
+    cands = partition_map(terms.map_batches(variants, batch_format="pandas"),
+                          "key", bucket_pairs)
+    out = partition_map(cands, ["a", "b"], verify).to_pandas()
     return out.sort_values(["a", "b"]).reset_index(drop=True)
 
 
 def containment_pairs(ds: rd.Dataset, window: int = 5,
                       tau_pct: int = 60, text_col: str = "text",
-                      id_col: str = "doc_id",
-                      num_partitions: int = 32) -> pd.DataFrame:
+                      id_col: str = "doc_id") -> pd.DataFrame:
     """One-sided n-gram CONTAINMENT join (the quote / subset-duplicate
     detector The Stack-style curation runs next to symmetric Jaccard):
     for the distinct W-gram sets G(a), emit (inner, outer) whenever
@@ -2047,7 +1889,7 @@ def containment_pairs(ds: rd.Dataset, window: int = 5,
     value-for-value.
 
     Distributed shape: distinct (gram, doc) rows (per-batch dedup is
-    global — a doc lives in one row) -> ONE gram-hash shuffle; inside
+    global — a doc lives in one row) -> ONE gram-keyed exchange; inside
     each partition the pair counts come from one C-level self-merge
     per gram key (no per-pair Python); partials re-shuffle on the LO
     doc key so every (lo, hi) pair sums in one place; gram-set sizes
@@ -2056,23 +1898,16 @@ def containment_pairs(ds: rd.Dataset, window: int = 5,
     scale drop grams with document frequency above a cap BEFORE the
     merge (they carry no containment signal); the synthetic corpus's
     5-gram df is bounded so no cap is applied here."""
-    from .relational import bucket_join, keyed_combine
-
-    P = num_partitions
 
     def gram_rows(b: pd.DataFrame) -> "pd.DataFrame | pa.Table":
         grams, di, _pos = hashing.batch_word_grams(
             b[text_col].tolist(), window)
         if not len(grams):
             return pa.table({"gram": pa.array([], pa.string()),
-                             "doc_id": pa.array([], pa.int64()),
-                             "_p": pa.array([], pa.int64())})
+                             "doc_id": pa.array([], pa.int64())})
         ids = b[id_col].to_numpy(np.int64)[di]
-        df = (pd.DataFrame({"gram": grams, "doc_id": ids})
-              .drop_duplicates())
-        df["_p"] = (hashing.hash_strings(df["gram"].to_numpy(object))
-                    % np.uint64(P)).astype(np.int64)
-        return df
+        return (pd.DataFrame({"gram": grams, "doc_id": ids})
+                .drop_duplicates())
 
     gram_doc = ds.map_batches(gram_rows, batch_format="pandas",
                               batch_size=2048).materialize()
@@ -2083,7 +1918,7 @@ def containment_pairs(ds: rd.Dataset, window: int = 5,
             "doc_id": b["doc_id"].astype("int64"),
             "g_size": np.ones(len(b), dtype=np.int64)}),
         batch_format="pandas")
-    sizes = keyed_combine(ones, "doc_id", ["g_size"], num_partitions=P)
+    sizes = keyed_combine(ones, "doc_id", ["g_size"])
 
     def gram_pairs(g: pd.DataFrame) -> "pd.DataFrame | pa.Table":
         m = g[["gram", "doc_id"]].merge(g[["gram", "doc_id"]], on="gram")
@@ -2098,26 +1933,23 @@ def containment_pairs(ds: rd.Dataset, window: int = 5,
         c["c"] = c["c"].astype("int64")
         return c
 
-    pairs = keyed_combine(
-        gram_doc.groupby("_p").map_groups(gram_pairs,
-                                          batch_format="pandas"),
-        ["a_id", "b_id"], ["c"], num_partitions=P)
+    pairs = keyed_combine(partition_map(gram_doc, "gram", gram_pairs),
+                          ["a_id", "b_id"], ["c"])
 
     # explicit schemas: bucket_join otherwise calls .schema() on these
-    # lazy map_groups-terminated plans, executing each shuffle TWICE
+    # lazy shuffle-terminated plans, executing each shuffle TWICE
     pair_schema = pa.schema([("a_id", pa.int64()), ("b_id", pa.int64()),
                              ("c", pa.int64())])
     size_schema = pa.schema([("doc_id", pa.int64()),
                              ("g_size", pa.int64())])
-    j = bucket_join(pairs, sizes, "a_id", "doc_id", num_partitions=P,
+    j = bucket_join(pairs, sizes, "a_id", "doc_id",
                     left_schema=pair_schema, right_schema=size_schema)
     j1_schema = pa.schema([("a_id", pa.int64()), ("b_id", pa.int64()),
                            ("c", pa.int64()), ("doc_id", pa.int64()),
                            ("size_a", pa.int64())])
     j = bucket_join(j.map_batches(
         lambda b: b.rename(columns={"g_size": "size_a"}),
-        batch_format="pandas"), sizes, "b_id", "doc_id",
-        num_partitions=P, suffix="_b",
+        batch_format="pandas"), sizes, "b_id", "doc_id", suffix="_b",
         left_schema=j1_schema, right_schema=size_schema)
 
     def emit(b: pd.DataFrame) -> pd.DataFrame:
@@ -2182,8 +2014,6 @@ def ppjoin_pairs(
     bucket_joins fetch member texts -> vectorized exact verify.
     Returns a Dataset (doc_a < doc_b, jaccard rounded to 6dp).
     """
-    from .relational import bucket_join, keyed_combine, partition_map
-
     P = num_partitions
     docs = ds.select_columns([id_col, text_col])
 
@@ -2302,7 +2132,6 @@ def sorted_neighborhood_pairs(
     key_len: int = 8,
     text_col: str = "text",
     id_col: str = "doc_id",
-    num_partitions: int = 32,
 ) -> rd.Dataset:
     """Sorted-Neighborhood Method dedup (Hernandez & Stolfo, SIGMOD
     1995): records are globally sorted by a blocking key (the first

@@ -495,16 +495,17 @@ def boilerplate_strip(
 
     Scale shape (100 TB): two corpus scans (the strip_dup_spans /
     checkpointed-dedup phase pattern). Scan 1 explodes to per-(site,
-    paragraph, doc) rows pre-deduped in-batch, then ONE hash shuffle of
-    those partials counts document frequency; site doc totals ride the
-    same exploded stream and only the site -> threshold map (site-
-    cardinality, i.e. metadata-scale) is ray.put-broadcast. The
-    boilerplate key table is (site, para)-scale — NOT broadcast:
-    scan 2 anti-bucket_joins the paragraph
+    paragraph, doc) rows pre-deduped in-batch, then ONE exchange keyed
+    on the (site, para) hash counts document frequency over those
+    partials; site doc totals ride the same exploded stream and only
+    the site -> threshold map (site-cardinality, i.e. metadata-scale)
+    is ray.put-broadcast. The boilerplate key table is (site,
+    para)-scale — NOT broadcast: scan 2 anti-bucket_joins the paragraph
     stream against it on a packed 64-bit (site, para) hash, and
-    survivors reassemble per document on a doc-hash shuffle. Nothing
-    lands on the driver; 64-bit hash-only matching (collision odds
-    documented in strip_dup_spans apply).
+    survivors reassemble per document on a doc-keyed exchange (shared
+    with paragraph_dedup). Nothing lands on the driver; 64-bit
+    hash-only matching (collision odds documented in strip_dup_spans
+    apply).
 
     Returns (id_col, clean_text, n_kept, n_para); documents whose every
     paragraph is template disappear (as do token-less documents).
@@ -513,10 +514,8 @@ def boilerplate_strip(
     import pyarrow as pa
 
     from ..functions import hashing
-    from ..tuning import suggested_partitions
-    from .relational import bucket_join
-
-    nparts = suggested_partitions()
+    from .dedup import _reassemble_paragraphs
+    from .relational import bucket_join, grouped_agg, partition_map
 
     def explode(batch: pd.DataFrame) -> pd.DataFrame:
         ids = batch[id_col].to_numpy()
@@ -556,26 +555,22 @@ def boilerplate_strip(
         # explode batches hold whole documents, so in-batch distinct
         # (sp, doc) is globally distinct — the shuffle moves partials
         d = batch.drop_duplicates(["sp", id_col])
-        g = (d.groupby(["sp", site_col], as_index=False, sort=False)
-             .size().rename(columns={"size": "c"}))
-        g["_part"] = (g["sp"].to_numpy(np.uint64)
-                      % np.uint64(nparts)).astype(np.int64)
-        return g
+        return (d.groupby(["sp", site_col], as_index=False, sort=False)
+                .size().rename(columns={"size": "c"}))
+
+    def df_final(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby(["sp", site_col], as_index=False,
+                         sort=False)["c"].sum()
 
     exploded = ds.map_batches(explode, batch_format="pandas",
                               batch_size=8192)
-    counts = (exploded.map_batches(df_partial, batch_format="pandas",
-                                   batch_size=65536)
-              .groupby("_part").map_groups(
-                  lambda g: g.groupby(["sp", site_col], as_index=False,
-                                      sort=False)["c"].sum(),
-                  batch_format="pandas"))
+    counts = partition_map(
+        exploded.map_batches(df_partial, batch_format="pandas",
+                             batch_size=65536), "sp", df_final)
 
     # site doc totals from the same exploded stream (one row per doc):
     # bounded by site count here; at web scale flip distributed=True —
     # it is the identical partial-combine exchange
-    from .relational import grouped_agg
-
     site_first = exploded.map_batches(
         lambda b: b[b["ord"] == 0][[site_col]],
         batch_format="pandas", batch_size=65536)
@@ -605,25 +600,4 @@ def boilerplate_strip(
     bp_schema = pa.schema([("sp", pa.uint64())])
     kept = bucket_join(paras, bp, "sp", "sp", how="anti",
                        left_schema=para_schema, right_schema=bp_schema)
-
-    def tag_doc(b: pd.DataFrame) -> pd.DataFrame:
-        dh = hashing.hash_strings(b[id_col].astype(str)
-                                  .to_numpy(dtype=object))
-        b = b.copy()
-        b["_dpart"] = (dh % np.uint64(nparts)).astype(np.int64)
-        return b
-
-    def reassemble(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([id_col, "ord"])
-        agg = g.groupby(id_col, sort=False).agg(
-            clean_text=("para", " ".join),
-            n_kept=("para", "size"),
-            n_para=("n_para", "first"),
-        ).reset_index()
-        agg["n_kept"] = agg["n_kept"].astype("int64")
-        return agg
-
-    return (kept.map_batches(tag_doc, batch_format="pandas",
-                             batch_size=65536)
-            .groupby("_dpart").map_groups(reassemble,
-                                          batch_format="pandas"))
+    return _reassemble_paragraphs(kept, id_col)

@@ -36,7 +36,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from .relational import bucket_join
+from .relational import bucket_join, partition_map
 from .windows import ordered_scan
 
 __all__ = ["corpus_tokens", "suffix_array", "suffix_array_ref",
@@ -313,10 +313,7 @@ def substring_dedup_exact(
 
     Output contract matches strip_dup_spans: (id_col, clean_text),
     empty docs dropped."""
-    from .dedup import _DEDUP_PARTITIONS, _strip_from_hits
-    from ..functions import hashing
-
-    from .dedup import _arrow_id_type
+    from .dedup import _arrow_id_type, _strip_from_hits
 
     id_type = _arrow_id_type(docs, id_col)
     toks, n = corpus_tokens(docs, text_col, id_col, with_doc=True)
@@ -371,21 +368,18 @@ def substring_dedup_exact(
 
     # duplicated keys: >= min_docs distinct docs (same semantics as the
     # windowed-hash family) on one (key,doc)-distinct partial + one
-    # key-hash shuffle
+    # exchange keyed on the window key
     def kd_part(b: pd.DataFrame) -> pd.DataFrame:
-        g = b[["key", "doc"]].drop_duplicates()
-        g["_kp"] = (g["key"].to_numpy(np.int64)
-                    % np.int64(_DEDUP_PARTITIONS))
-        return g
+        return b[["key", "doc"]].drop_duplicates()
 
     def kd_fin(g: pd.DataFrame) -> pd.DataFrame:
         nd = g.drop_duplicates().groupby("key", sort=False)["doc"].size()
         return pd.DataFrame({
             "key": nd.index[nd >= min_docs].to_numpy(np.int64)})
 
-    dup_keys = (wkeys.map_batches(kd_part, batch_format="pandas",
-                                  batch_size=65536)
-                .groupby("_kp").map_groups(kd_fin, batch_format="pandas"))
+    dup_keys = partition_map(
+        wkeys.map_batches(kd_part, batch_format="pandas", batch_size=65536),
+        "key", kd_fin)
 
     hits = bucket_join(
         wkeys, dup_keys, "key", "key",
@@ -418,16 +412,9 @@ def substring_dedup_exact(
             "lpos": b["lpos"].to_numpy(np.int64),
             "kind": np.ones(len(b), dtype=np.int8)})
 
-    def add_dc(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["_dc"] = (hashing.hash_strings(b["doc"].to_numpy(dtype=object))
-                    % np.uint64(_DEDUP_PARTITIONS)).astype(np.int64)
-        return b
-
     union = (docs.map_batches(doc_rows, batch_format="pandas",
                               batch_size=4096)
-             .union(hits.map_batches(hit_rows, batch_format="pandas"))
-             .map_batches(add_dc, batch_format="pandas"))
+             .union(hits.map_batches(hit_rows, batch_format="pandas")))
 
     def strip_part(g: pd.DataFrame) -> pd.DataFrame:
         dr = g[g["kind"].to_numpy() == 0]
@@ -443,8 +430,7 @@ def substring_dedup_exact(
                                window, id_col)
         return out
 
-    return union.groupby("_dc").map_groups(strip_part,
-                                           batch_format="pandas")
+    return partition_map(union, "doc", strip_part)
 
 
 # --------------------------------------------------------------------
@@ -638,21 +624,18 @@ def _maximal_hits(docs: rd.Dataset, text_col: str, id_col: str,
         oa = b["oa"].to_numpy(np.int64)[m]
         ob = b["ob"].to_numpy(np.int64)[m]
         lc = b["lcp"].to_numpy(np.int64)[m]
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "pos": np.concatenate([oa, ob]),
             "dlen": np.concatenate([lc, lc])})
-        out["_kp"] = out["pos"].to_numpy(np.int64) % np.int64(
-            _DEDUP_PARTITIONS_MAX)
-        return out
 
     def max_per_pos(g: pd.DataFrame) -> pd.DataFrame:
         mx = g.groupby("pos", sort=False)["dlen"].max()
         return pd.DataFrame({"pos": mx.index.to_numpy(np.int64),
                              "dlen": mx.to_numpy(np.int64)})
 
-    hits_pos = (pairs.map_batches(emit_sides, batch_format="pandas")
-                .groupby("_kp").map_groups(max_per_pos,
-                                           batch_format="pandas"))
+    hits_pos = partition_map(
+        pairs.map_batches(emit_sides, batch_format="pandas"), "pos",
+        max_per_pos)
 
     # map positions back to (doc, lpos) — one n-scale inner join; clip
     # dlen at the REAL doc end (the sentinel occupies lpos == nw - 1)
@@ -673,9 +656,6 @@ def _maximal_hits(docs: rd.Dataset, text_col: str, id_col: str,
                              "lpos": lpos[m], "dlen": dlen[m]})
 
     return j.map_batches(to_hits, batch_format="pandas"), toks
-
-
-_DEDUP_PARTITIONS_MAX = 64
 
 
 def _cover_islands(counts: np.ndarray, hit_doc: np.ndarray,
@@ -699,9 +679,6 @@ def _maximal_grouped(docs: rd.Dataset, text_col: str, id_col: str,
     """Doc-keyed shuffle joining doc rows (kind 0: id + text) with hit
     rows (kind 1: lpos + dlen), then per-doc ``emit``: "clean" strips
     covered tokens, "spans" reports the maximal covered intervals."""
-    from .dedup import _DEDUP_PARTITIONS
-    from ..functions import hashing
-
     empty = (pa.table({id_col: pa.array([], id_type),
                        "clean_text": pa.array([], pa.string())})
              if emit == "clean" else
@@ -752,16 +729,9 @@ def _maximal_grouped(docs: rd.Dataset, text_col: str, id_col: str,
             "dlen": b["dlen"].to_numpy(np.int64),
             "kind": np.ones(len(b), dtype=np.int8)})
 
-    def add_dc(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["_dc"] = (hashing.hash_strings(b["doc"].to_numpy(dtype=object))
-                    % np.uint64(_DEDUP_PARTITIONS)).astype(np.int64)
-        return b
-
     union = (docs.map_batches(doc_rows, batch_format="pandas",
                               batch_size=4096)
-             .union(hits.map_batches(hit_rows, batch_format="pandas"))
-             .map_batches(add_dc, batch_format="pandas"))
+             .union(hits.map_batches(hit_rows, batch_format="pandas")))
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         dr = g[g["kind"].to_numpy() == 0]
@@ -816,8 +786,7 @@ def _maximal_grouped(docs: rd.Dataset, text_col: str, id_col: str,
                 for i in range(len(counts)) if kept_per_doc[i] > 0]
         return pd.DataFrame(rows, columns=[id_col, "clean_text"])
 
-    return union.groupby("_dc").map_groups(per_part,
-                                           batch_format="pandas")
+    return partition_map(union, "doc", per_part)
 
 
 def substring_dedup_maximal(
