@@ -24,6 +24,7 @@ import ray
 import ray.data as rd
 
 from ..functions import hashing
+from .relational import partition_map
 
 WINDOW_TOKENS = 256
 
@@ -469,29 +470,14 @@ def tier_extract(docs: rd.Dataset, rates: tuple = TIER_RATES
     the worst. Returns per (source, tier): doc count, kept count, kept
     chars.
 
-    One source-keyed shuffle (sources are partition-complete, so ranks
-    and the per-(source, tier) aggregate finalize inside the
+    One source-keyed ``partition_map`` (sources are partition-complete,
+    so ranks and the per-(source, tier) aggregate finalize inside the
     partition); membership is the stable Knuth permutation of doc_id
     (reproducible across runs/workers, like sample_by_source). Driver
     sees only the sources x tiers summary."""
-    from ..functions import hashing
-
     n_tiers = len(rates)
 
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        h = hashing.hash_strings(b["source"].to_numpy(dtype=object))
-        b["_part"] = (h % np.uint64(32)).astype(np.int64)
-        return b
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({
-                "source": pd.Series([], dtype="object"),
-                "tier": pd.Series([], dtype="int64"),
-                "n_docs": pd.Series([], dtype="int64"),
-                "n_kept": pd.Series([], dtype="int64"),
-                "kept_chars": pd.Series([], dtype="int64")})
         r = g.groupby("source")["n_chars"].rank(method="min")
         n = g.groupby("source")["n_chars"].transform("size")
         pr = np.where(n > 1, (r - 1) / (n - 1), 0.0)
@@ -514,9 +500,7 @@ def tier_extract(docs: rd.Dataset, rates: tuple = TIER_RATES
             "n_kept": agg["n_kept"].astype("int64"),
             "kept_chars": agg["kept_chars"].astype("int64")})
 
-    out = (docs.map_batches(tag, batch_format="pandas", batch_size=65536)
-               .groupby("_part").map_groups(per_part, batch_format="pandas")
-               .to_pandas())
+    out = partition_map(docs, "source", per_part).to_pandas()
     return out.sort_values(["source", "tier"]).reset_index(drop=True)
 
 

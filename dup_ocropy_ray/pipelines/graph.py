@@ -48,17 +48,7 @@ import pyarrow as pa
 
 import ray.data as rd
 
-from .relational import bucket_join, grouped_agg
-
-
-def _node_combine(ds: rd.Dataset, cols: "list[str]", op: str,
-                  num_partitions: int = 64) -> rd.Dataset:
-    """Keyed combine on ``node`` — thin alias of relational.
-    keyed_combine, which documents why the native Dataset groupby
-    aggregator is avoided here (tens of seconds per BSP round)."""
-    from .relational import keyed_combine
-
-    return keyed_combine(ds, "node", cols, op, num_partitions)
+from .relational import bucket_join, grouped_agg, keyed_combine, partition_map
 
 # Multiplicative-congruential link synthesis: dst_j(src) =
 # ((src * MULT + j * INC) mod 2^32) mod N for j in 1..k. MULT is
@@ -122,9 +112,9 @@ def pagerank(nodes: rd.Dataset, n_nodes: int, k: int = 4, iters: int = 5,
             return pd.DataFrame({"node": node, "contrib": contrib})
 
         inj = 3 * 20**t * k ** (t + 1)
-        summed = _node_combine(
+        summed = keyed_combine(
             ranks.map_batches(expand, batch_format="pandas",
-                              batch_size=65536), ["contrib"], "sum")
+                              batch_size=65536), "node", ["contrib"])
 
         def finish(b: pd.DataFrame, _inj=inj) -> pd.DataFrame:
             return pd.DataFrame(
@@ -181,9 +171,9 @@ def indegree_hist(sf_dir: str, k: int = 4) -> pd.DataFrame:
              .groupby("node", as_index=False, sort=False)["one"].sum())
         return g
 
-    indeg = (_node_combine(
+    indeg = (keyed_combine(
         nodes.map_batches(partial, batch_format="pandas",
-                          batch_size=65536), ["one"], "sum")
+                          batch_size=65536), "node", ["one"])
              .map_batches(lambda b: pd.DataFrame(
                  {"indeg": b["one"].astype(np.int64)}),
                  batch_format="pandas", batch_size=65536))
@@ -193,13 +183,13 @@ def indegree_hist(sf_dir: str, k: int = 4) -> pd.DataFrame:
     return out.sort_values("indeg").reset_index(drop=True)
 
 
-def triangle_count(sf_dir: str, k: int = 4,
-                   num_partitions: int = 32) -> pd.DataFrame:
+def triangle_count(sf_dir: str, k: int = 4) -> pd.DataFrame:
     """Exact triangle count of the undirected link graph (self-loops
     dropped, edges deduped to u<v). Edge-iterator algorithm: wedges by
     joining the oriented edge list with itself on the middle vertex,
     then probing the closing (lo, hi) edge by a packed pair key —
-    two bucket_joins, one distinct pass, zero driver state.
+    two bucket_joins, one (u, v)-keyed distinct pass, zero driver
+    state.
 
     Pair keys pack as u * n + w (exact while n^2 < 2^63; hash-pack at
     larger scale). Orientation is by raw id; at web scale orient by
@@ -216,21 +206,15 @@ def triangle_count(sf_dir: str, k: int = 4,
         d = dst.ravel()
         keep = s != d
         s, d = s[keep], d[keep]
-        u = np.minimum(s, d)
-        v = np.maximum(s, d)
-        df = pd.DataFrame({"u": u, "v": v}).drop_duplicates()
-        # Fibonacci-mix the packed pair for the shuffle bucket — cheap
-        # int ops, uniform enough for partition balance
-        hv = ((df["u"].to_numpy(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-              ^ df["v"].to_numpy(np.uint64))
-        df["_part"] = (hv % np.uint64(num_partitions)).astype(np.int64)
-        return df
+        return pd.DataFrame({"u": np.minimum(s, d),
+                             "v": np.maximum(s, d)}).drop_duplicates()
 
-    ue = (nodes.map_batches(make_edges, batch_format="pandas",
-                            batch_size=65536)
-          .groupby("_part")
-          .map_groups(lambda g: g.drop_duplicates(["u", "v"])[["u", "v"]],
-                      batch_format="pandas"))
+    def distinct_edges(g: pd.DataFrame) -> pd.DataFrame:
+        return g.drop_duplicates(["u", "v"])
+
+    ue = partition_map(nodes.map_batches(make_edges, batch_format="pandas",
+                                         batch_size=65536),
+                       ["u", "v"], distinct_edges)
     ue_schema = pa.schema([("u", pa.int64()), ("v", pa.int64())])
 
     # wedges: (u, v, w) with u < v < w via e1.v == e2.u
@@ -347,9 +331,9 @@ def bfs_levels(sf_dir: str, k: int = 4, rounds: int = 4,
                 [np.repeat(np.minimum(d + 1, _BFS_INF), _k), d])
             return pd.DataFrame({"node": node, "d": cand})
 
-        dists = (_node_combine(
+        dists = (keyed_combine(
             dists.map_batches(relax, batch_format="pandas",
-                              batch_size=65536), ["d"], "min")
+                              batch_size=65536), "node", ["d"], "min")
                  .map_batches(lambda b: pd.DataFrame(
                      {"id": b["node"].astype(np.int64),
                       "d": b["d"].astype(np.int64)}),
@@ -440,9 +424,9 @@ def harmonic_centrality(sf_dir: str, k: int = 4, rounds: int = 4,
                 out[c] = b[c].astype(np.int64)
             return pd.DataFrame(out)
 
-        dists = (_node_combine(
+        dists = (keyed_combine(
             dists.map_batches(relax, batch_format="pandas",
-                              batch_size=65536), dcols, "min")
+                              batch_size=65536), "node", dcols, "min")
                  .map_batches(rename, batch_format="pandas",
                               batch_size=65536)
                  .materialize())

@@ -20,7 +20,8 @@ import ray.data as rd
 from ..functions.edist import levenshtein, levenshtein_many, xlevenshtein
 from . import dedup, similarity, textstats
 from . import relational
-from .relational import broadcast_join, grouped_agg, partition_map, topk
+from .relational import (broadcast_join, bucket_join, grouped_agg,
+                         keyed_combine, partition_map, topk)
 
 
 def _read(sf_dir: str, table: str, columns=None) -> rd.Dataset:
@@ -1736,7 +1737,7 @@ def q_bloom_join(sf_dir: str) -> pd.DataFrame:
     exact join, so the result is identical to the plain join — which
     is exactly what the oracle runs."""
     from ..functions import hashing
-    from .relational import bloom_semi_filter, bucket_join, keyed_combine
+    from .relational import bloom_semi_filter
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     seg = cust.filter(lambda r: r["c_mktsegment"] == "BUILDING")
@@ -1788,8 +1789,6 @@ def q_big_order_customers(sf_dir: str) -> pd.DataFrame:
     BEFORE any join — the classic push-down that turns a lineitem-scale
     join into a filtered-orders-scale one; both joins are the repo's
     fixed-bucket exchange."""
-    from .relational import bucket_join, keyed_combine
-
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
@@ -1901,7 +1900,7 @@ def q_top_docs_by_source(sf_dir: str) -> pd.DataFrame:
 
 def q_top_terms_by_source(sf_dir: str) -> pd.DataFrame:
     """Top-5 distinctive terms per source (integer tf/df score):
-    inverted-index two-level aggregation (term-keyed bucket shuffle
+    inverted-index two-level aggregation (term-keyed exchange
     computes global doc frequency) + grouped_topk."""
     ds = _read(sf_dir, "documents", ["doc_id", "source", "text"])
     scored = textstats.distinctive_terms(ds)
@@ -4173,17 +4172,15 @@ def q_warc_curate(sf_dir: str) -> pd.DataFrame:
       3. robots gate: RFC 9309 longest-match decision on each doc's URL
          path for our agent (robots_filter's chain);
       4. content-prefix dedup among allowed docs: keeper = min doc_id
-         per first-3-body-words key, ONE key-hash bucket shuffle;
+         per first-3-body-words key, ONE prefix-keyed exchange;
       5. quality gate: keepers with >= 10 body words survive;
       6. per-source rollup: docs / allowed / kept / surviving words.
 
     The oracle replays the WHOLE chain in SQL (identity extraction,
     robots rule table, QUALIFY-style keeper, word gate, rollup)."""
-    from ..functions.hashing import hash_strings
     from ..functions.htmlx import extract_main_text
     from ..sources.warcgen import build_warc_corpus, read_warc, uri_doc_id
     from . import curate
-    from .relational import bucket_join, grouped_agg
 
     # 32 shards: read_warc's parallelism unit is one task per shard (the
     # Common Crawl layout); the default 8-shard fixture leaves 3/4 of a
@@ -4233,24 +4230,15 @@ def q_warc_curate(sf_dir: str) -> pd.DataFrame:
 
     gated = joined.map_batches(gate, batch_format="pandas")
 
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        h = hash_strings(b["prefix"].to_numpy(dtype=object))
-        b["_part"] = (h % np.uint64(64)).astype(np.int64)
-        return b
-
     def keeper_flags(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.copy()
         mins = g[g["allowed"]].groupby("prefix")["doc_id"].transform("min")
         g["kept"] = False
         g.loc[g["allowed"], "kept"] = (
             (g.loc[g["allowed"], "doc_id"] == mins)
             & (g.loc[g["allowed"], "n_body"] >= 10))
-        return g.drop(columns=["_part"])
+        return g
 
-    flagged = (gated.map_batches(add_part, batch_format="pandas")
-               .groupby("_part").map_groups(keeper_flags,
-                                            batch_format="pandas"))
+    flagged = partition_map(gated, "prefix", keeper_flags)
 
     def to_metrics(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -4595,7 +4583,6 @@ def q_snapshot_diff(sf_dir: str) -> pd.DataFrame:
     rule and a FULL OUTER JOIN over the raw texts in SQL, so a 64-bit
     hash collision or a join-mode bug would hash-mismatch."""
     from ..functions.hashing import hash_strings
-    from .relational import bucket_join
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -4780,7 +4767,6 @@ def q_balance_classes(sf_dir: str) -> pd.DataFrame:
     (doc_id, lang) pairs plus per-class keep counts are implied by
     the rows themselves — fully oracle-checked via QUALIFY."""
     from ..functions import hashing
-    from .relational import keyed_combine
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
 
@@ -4914,7 +4900,7 @@ def q_purge_user(sf_dir: str) -> pd.DataFrame:
     import tempfile
 
     from ..functions import hashing
-    from .relational import keyed_combine, purge_rows
+    from .relational import purge_rows
 
     # the request set is the %29==3 predicate; purge_rows wants explicit
     # ids, so enumerate them up to the table's actual user-id bound
@@ -5026,8 +5012,6 @@ def q_mannwhitney(sf_dir: str) -> pd.DataFrame:
     so the histogram is value-cardinality-bounded regardless of corpus
     size. Reports n per group and 2*U per group (U_en + U_de =
     n_en*n_de holds by construction — asserted in tests)."""
-    from .relational import keyed_combine
-
     docs = _read(sf_dir, "documents", ["lang", "n_chars"])
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
@@ -5084,8 +5068,6 @@ def q_theilsen_trend(sf_dir: str) -> pd.DataFrame:
     series-scale, never corpus-scale). Median follows the
     quantile_disc rule, so the self-join twin matches exactly."""
     import math
-
-    from .relational import keyed_combine
 
     ev = _read(sf_dir, "events", ["ts", "event_type"])
 
@@ -5149,8 +5131,6 @@ def q_holt_forecast(sf_dir: str) -> pd.DataFrame:
     state + 1h/24h forecasts. The twin replays the identical
     recursion in a recursive CTE — same IEEE op order, so values
     match bit-for-bit before round(,6)."""
-    from .relational import keyed_combine
-
     ev = _read(sf_dir, "events", ["ts", "event_type"])
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
@@ -5242,7 +5222,6 @@ def q_graph_agg(sf_dir: str) -> pd.DataFrame:
     one dst-keyed bucket_join onto node features, one src-keyed
     combine. Integer floor mean keeps the twin exact."""
     from ..pipelines import graph
-    from .relational import bucket_join, keyed_combine
 
     docs = _read(sf_dir, "documents", ["doc_id", "n_chars"])
     n_nodes = int(_read_pd(sf_dir, "documents", ["doc_id"]).shape[0])
@@ -5311,7 +5290,6 @@ def q_frequent_pairs(sf_dir: str) -> pd.DataFrame:
     import ray
 
     from ..functions import hashing
-    from .relational import keyed_combine
 
     MINSUP = 150
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
@@ -5419,25 +5397,12 @@ ORDER BY pmi DESC, gram LIMIT 20
 
 def q_quality_percentile(sf_dir: str) -> pd.DataFrame:
     """Per-source percentile rank of document length (the quality-
-    filtering primitive 'keep the top X% per source'): one source-hash
-    shuffle, then vectorized min-rank percent_rank per source group —
+    filtering primitive 'keep the top X% per source'): one source-keyed
+    exchange, then vectorized min-rank percent_rank per source group —
     no global sort."""
     ds = _read(sf_dir, "documents", ["doc_id", "source", "n_chars"])
 
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        from ..functions import hashing
-
-        b = b.copy()
-        h = hashing.hash_strings(b["source"].to_numpy(dtype=object))
-        b["_part"] = (h % np.uint64(32)).astype(np.int64)
-        return b
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({
-                "doc_id": pd.Series([], dtype="int64"),
-                "source": pd.Series([], dtype="object"),
-                "pr": pd.Series([], dtype="float64")})
         r = g.groupby("source")["n_chars"].rank(method="min")
         n = g.groupby("source")["n_chars"].transform("size")
         pr = np.where(n > 1, (r - 1) / (n - 1), 0.0)
@@ -5447,9 +5412,7 @@ def q_quality_percentile(sf_dir: str) -> pd.DataFrame:
             "pr": np.round(pr, 6),
         })
 
-    out = (ds.map_batches(tag, batch_format="pandas", batch_size=65536)
-             .groupby("_part").map_groups(per_part, batch_format="pandas")
-             .to_pandas())
+    out = partition_map(ds, "source", per_part).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -5662,37 +5625,17 @@ def q_unigram_logprob(sf_dir: str) -> pd.DataFrame:
     filter: improbable-token documents score high) — EXACT and fully
     distributed, no vocabulary-scale driver state: per-(doc, word)
     multiplicities (doc-vocab scale, pre-aggregated in the batch) meet
-    the word-hash-sharded unigram count table in one large x large
-    bucket_join, then per-doc sums ride one doc-keyed bucket reduce.
+    the ``textstats.word_counts`` table in one large x large
+    bucket_join, then per-doc sums ride one doc-keyed ``partition_map``.
     The only driver data are the token-total scalar and the final
     doc-scale result (this query's contract is a per-doc frame)."""
-    from ..functions import hashing
-    from .relational import bucket_join
-
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
-    # distributed unigram counts: word-hash shuffle of per-batch partials
-    def wc_partial(b: pd.DataFrame) -> pd.DataFrame:
-        vc = b["text"].fillna("").str.split().explode().dropna().value_counts()
-        out = pd.DataFrame({"word": vc.index.to_numpy(object),
-                            "c": vc.to_numpy(np.int64)})
-        out["_part"] = (hashing.hash_strings(out["word"].to_numpy(object))
-                        % np.uint64(64)).astype(np.int64)
-        return out
-
-    def wc_final(g: pd.DataFrame) -> pd.DataFrame:
-        vc = g.groupby("word", sort=False)["c"].sum()
-        return pd.DataFrame({"word": vc.index.to_numpy(object),
-                             "c": vc.to_numpy(np.int64)})
-
     # materialize: the vocab-scale count table is consumed twice (the
-    # total below and the join) — without this the word-hash shuffle
-    # would re-run per consumer; the blocks stay distributed in the
-    # object store, nothing lands on the driver
-    uni = (ds.map_batches(wc_partial, batch_format="pandas",
-                          batch_size=65536)
-             .groupby("_part").map_groups(wc_final, batch_format="pandas")
-             .materialize())
+    # total below and the join) — without this its exchange would re-run
+    # per consumer; the blocks stay distributed in the object store,
+    # nothing lands on the driver
+    uni = textstats.word_counts(ds).materialize()
 
     # corpus token total == sum of the unigram counts: a metadata-scale
     # reduce over uni, NOT another full-corpus tokenize pass
@@ -5722,14 +5665,11 @@ def q_unigram_logprob(sf_dir: str) -> pd.DataFrame:
     def contrib(b: pd.DataFrame) -> pd.DataFrame:
         m = b["m"].to_numpy(np.float64)
         lp = m * -np.log(b["c"].to_numpy(np.float64) / total)
-        out = (pd.DataFrame({"doc_id": b["doc_id"],
-                             "n_tokens": b["m"].astype("int64"),
-                             "lp": lp})
-               .groupby("doc_id", sort=False, as_index=False)
-               .agg(n_tokens=("n_tokens", "sum"), lp=("lp", "sum")))
-        out["_part"] = (pd.util.hash_pandas_object(out["doc_id"], index=False)
-                        .to_numpy("uint64") % np.uint64(64)).astype(np.int64)
-        return out
+        return (pd.DataFrame({"doc_id": b["doc_id"],
+                              "n_tokens": b["m"].astype("int64"),
+                              "lp": lp})
+                .groupby("doc_id", sort=False, as_index=False)
+                .agg(n_tokens=("n_tokens", "sum"), lp=("lp", "sum")))
 
     def per_doc(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.groupby("doc_id", sort=False, as_index=False)
@@ -5738,9 +5678,8 @@ def q_unigram_logprob(sf_dir: str) -> pd.DataFrame:
                              "n_tokens": out["n_tokens"].astype("int64"),
                              "logprob": np.round(out["lp"], 6)})
 
-    out = (joined.map_batches(contrib, batch_format="pandas")
-           .groupby("_part").map_groups(per_doc, batch_format="pandas")
-           .to_pandas())
+    out = partition_map(joined.map_batches(contrib, batch_format="pandas"),
+                        "doc_id", per_doc).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -6258,7 +6197,6 @@ def q_dp_counts(sf_dir: str) -> pd.DataFrame:
     cross the twin boundary. Deterministic 'noise' is for the oracle
     harness; a production run seeds from a secret."""
     from ..functions import hashing
-    from .relational import keyed_combine
 
     ev = _read(sf_dir, "events", ["event_type"])
 
@@ -6328,8 +6266,6 @@ def q_bootstrap_ci(sf_dir: str) -> pd.DataFrame:
     shared _BOOT_CDF doubles, partials are int64, replicate means are
     single double divisions — the DuckDB twin (generated from the same
     constants) matches value-for-value."""
-    from .relational import keyed_combine
-
     ev = _read(sf_dir, "events", ["event_id", "event_type", "value"])
     bcol = np.arange(-1, _BOOT_B, dtype=np.int64)
 
@@ -6417,8 +6353,6 @@ def q_ab_cuped(sf_dir: str) -> pd.DataFrame:
     theta and the adjusted means are closed-form. Every moment is an
     exact int64 (counts x cents), so theta and the rounded means are
     bit-identical to the DuckDB twin's double arithmetic."""
-    from .relational import keyed_combine
-
     ev = _read(sf_dir, "events", ["ts", "user_id", "value"])
     cut = np.datetime64("2024-01-16T00:00:00")
 
@@ -6509,7 +6443,7 @@ def q_conformal_bounds(sf_dir: str) -> pd.DataFrame:
     (permille). Two grouped combines + one grouped quantile — all
     integer-exact, so the twin hashes."""
     from ..functions import hashing
-    from .relational import grouped_quantiles, keyed_combine
+    from .relational import grouped_quantiles
 
     ev = _read(sf_dir, "events", ["event_id", "event_type", "value"])
 
@@ -6728,7 +6662,6 @@ def q_encoding_advisor(sf_dir: str) -> pd.DataFrame:
     sums = (s.map_batches(part, batch_format="pandas", batch_size=None)
             .to_pandas().sort_values("k").reset_index(drop=True))
 
-    from .relational import keyed_combine
 
     def distinct_count(c: str) -> int:
         def kv(b: pd.DataFrame) -> pd.DataFrame:
@@ -6800,7 +6733,6 @@ def q_dataset_card(sf_dir: str) -> pd.DataFrame:
     hash-distinct combine (the exact-dedup shuffle shape); nothing
     corpus-scale reaches the driver. Fully oracle-checked."""
     from ..functions import hashing
-    from .relational import keyed_combine
 
     rows: list[tuple[str, int]] = []
 
@@ -7256,13 +7188,39 @@ def q_ttf_linegen(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
+def _signature_pairs(sigs: rd.Dataset) -> pd.DataFrame:
+    """(doc_a, doc_b), doc_a < doc_b, for every two docs of a
+    ``(doc_id, sig)`` Dataset that share one ``sig``: one sig-keyed
+    ``partition_map``, all pairs inside each signature group, sorted.
+    The exchange of the media near-dup queries."""
+
+    def pairs(g: pd.DataFrame) -> pd.DataFrame:
+        rows_a, rows_b = [], []
+        for _, sub in g.groupby("sig", sort=False):
+            ids = np.sort(sub["doc_id"].to_numpy(np.int64))
+            if len(ids) < 2:
+                continue
+            iu, ju = np.triu_indices(len(ids), k=1)
+            rows_a.append(ids[iu])
+            rows_b.append(ids[ju])
+        if not rows_a:
+            return pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
+                                 "doc_b": pd.Series([], dtype="int64")})
+        return pd.DataFrame({"doc_a": np.concatenate(rows_a),
+                             "doc_b": np.concatenate(rows_b)})
+
+    out = partition_map(sigs, "sig", pairs).to_pandas()
+    return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+
+
 def q_video_dups(sf_dir: str) -> pd.DataFrame:
     """Video near-dup detection: decode each doc's AVI (clip content
     keyed by doc_id % 250, so every residue class is one duplicate
     group), sample frames, dHash each sampled frame, and pair videos
     whose full frame-hash signature matches — the multimodal analogue
-    of exact text dedup (one coarse signature-hash shuffle, all-pairs
-    inside signature groups). Oracle = the planting arithmetic."""
+    of exact text dedup (``_signature_pairs``: one signature-keyed
+    exchange, all-pairs inside signature groups). Oracle = the planting
+    arithmetic."""
     from ..functions.avi import encode_avi
     from ..functions import png as _png
     from ..stages.multimodal import VideoFrameSample, dhash64
@@ -7298,31 +7256,11 @@ def q_video_dups(sf_dir: str) -> pd.DataFrame:
             ids.append(i)
             sigs.append(hashing.hash_strings(
                 np.array([",".join(map(str, hs))], dtype=object))[0])
-        out = pd.DataFrame({"doc_id": ids,
-                            "sig": np.array(sigs, dtype=np.uint64)})
-        out["_part"] = (out["sig"].to_numpy(np.uint64)
-                        % np.uint64(64)).astype(np.int64)
-        return out
+        return pd.DataFrame({"doc_id": ids,
+                             "sig": np.array(sigs, dtype=np.uint64)})
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        rows_a, rows_b = [], []
-        for _, sub in g.groupby("sig", sort=False):
-            ids = np.sort(sub["doc_id"].to_numpy(np.int64))
-            if len(ids) < 2:
-                continue
-            iu, ju = np.triu_indices(len(ids), k=1)
-            rows_a.append(ids[iu])
-            rows_b.append(ids[ju])
-        if not rows_a:
-            return pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
-                                 "doc_b": pd.Series([], dtype="int64")})
-        return pd.DataFrame({"doc_a": np.concatenate(rows_a),
-                             "doc_b": np.concatenate(rows_b)})
-
-    sigs = sampled.map_batches(signature, batch_format="pyarrow")
-    out = (sigs.groupby("_part").map_groups(pairs, batch_format="pandas")
-           .to_pandas())
-    return (out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True))
+    return _signature_pairs(
+        sampled.map_batches(signature, batch_format="pyarrow"))
 
 
 SQL_VIDEO_DUPS = """
@@ -7335,8 +7273,8 @@ FROM documents a JOIN documents b
 def q_audio_dups(sf_dir: str) -> pd.DataFrame:
     """Audio near-dup detection: per-key multi-tone WAV clips (keyed by
     doc_id % 250), fingerprinted as the dominant-FFT-bin SEQUENCE over
-    fixed windows (shazam-lite), paired inside fingerprint groups after
-    one coarse hash shuffle. Oracle = the planting arithmetic, same
+    fixed windows (shazam-lite), paired inside fingerprint groups by
+    ``_signature_pairs``. Oracle = the planting arithmetic, same
     residue pairing as video_dups."""
     from ..functions.wav import decode_wav, encode_wav
 
@@ -7373,32 +7311,12 @@ def q_audio_dups(sf_dir: str) -> pd.DataFrame:
             ids.append(i)
             sigs.append(hashing.hash_strings(
                 np.array([",".join(map(str, bins))], dtype=object))[0])
-        out = pd.DataFrame({"doc_id": ids,
-                            "sig": np.array(sigs, dtype=np.uint64)})
-        out["_part"] = (out["sig"].to_numpy(np.uint64)
-                        % np.uint64(64)).astype(np.int64)
-        return out
+        return pd.DataFrame({"doc_id": ids,
+                             "sig": np.array(sigs, dtype=np.uint64)})
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        rows_a, rows_b = [], []
-        for _, sub in g.groupby("sig", sort=False):
-            ids = np.sort(sub["doc_id"].to_numpy(np.int64))
-            if len(ids) < 2:
-                continue
-            iu, ju = np.triu_indices(len(ids), k=1)
-            rows_a.append(ids[iu]); rows_b.append(ids[ju])
-        if not rows_a:
-            return pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
-                                 "doc_b": pd.Series([], dtype="int64")})
-        return pd.DataFrame({"doc_a": np.concatenate(rows_a),
-                             "doc_b": np.concatenate(rows_b)})
-
-    sigs = (ds.map_batches(synth, batch_format="pandas", batch_size=256)
-            .map_batches(fingerprint, batch_format="pyarrow",
-                         batch_size=64))
-    out = (sigs.groupby("_part").map_groups(pairs, batch_format="pandas")
-           .to_pandas())
-    return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+    return _signature_pairs(
+        ds.map_batches(synth, batch_format="pandas", batch_size=256)
+        .map_batches(fingerprint, batch_format="pyarrow", batch_size=64))
 
 
 SQL_AUDIO_DUPS = SQL_VIDEO_DUPS
@@ -7552,38 +7470,27 @@ def q_dsir_weights(sf_dir: str) -> pd.DataFrame:
 
     The paper hashes grams into buckets to bound the feature table;
     here raw-gram counts keep the DuckDB twin value-exact, and the
-    engine's gram-hash shuffle plays the same routing role. Fully
-    distributed like unigram_logprob: ONE gram-sharded count table
-    carries both (raw, target) counts — a single vocabulary shuffle —
-    then per-(doc, word) multiplicities meet it in a large x large
-    bucket_join and per-doc sums ride a doc-keyed bucket reduce. Only
-    three scalars (token totals, vocab size) and the doc-scale result
-    land on the driver."""
-    from ..functions import hashing
-    from .relational import bucket_join
-
+    engine's word-keyed exchange plays the same routing role. Fully
+    distributed like unigram_logprob: ONE word-keyed ``keyed_combine``
+    count table carries both (raw, target) counts — a single vocabulary
+    exchange — then per-(doc, word) multiplicities meet it in a large x
+    large bucket_join and per-doc sums ride one doc-keyed
+    ``partition_map``. Only three scalars (token totals, vocab size)
+    and the doc-scale result land on the driver."""
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "text"])
 
     def wc_partial(b: pd.DataFrame) -> pd.DataFrame:
         toks = b["text"].fillna("").str.split()
         flat = toks.explode().dropna()
         tgt = (b["lang"].to_numpy(object)[flat.index.to_numpy()] == "en")
-        g = (pd.DataFrame({"word": flat.to_numpy(object),
-                           "cr": np.ones(len(flat), dtype=np.int64),
-                           "ct": tgt.astype(np.int64)})
-             .groupby("word", sort=False, as_index=False).sum())
-        g["_part"] = (hashing.hash_strings(g["word"].to_numpy(object))
-                      % np.uint64(64)).astype(np.int64)
-        return g
+        return (pd.DataFrame({"word": flat.to_numpy(object),
+                              "cr": np.ones(len(flat), dtype=np.int64),
+                              "ct": tgt.astype(np.int64)})
+                .groupby("word", sort=False, as_index=False).sum())
 
-    def wc_final(g: pd.DataFrame) -> pd.DataFrame:
-        vc = g.groupby("word", sort=False, as_index=False)[["cr", "ct"]].sum()
-        return vc
-
-    uni = (ds.map_batches(wc_partial, batch_format="pandas",
-                          batch_size=65536)
-             .groupby("_part").map_groups(wc_final, batch_format="pandas")
-             .materialize())
+    uni = keyed_combine(
+        ds.map_batches(wc_partial, batch_format="pandas", batch_size=65536),
+        "word", ["cr", "ct"]).materialize()
 
     # scalars: raw/target token totals + vocab size (metadata-scale)
     tots = uni.map_batches(
@@ -7613,13 +7520,10 @@ def q_dsir_weights(sf_dir: str) -> pd.DataFrame:
         m = b["m"].to_numpy(np.float64)
         lw = m * (np.log((b["ct"].to_numpy(np.float64) + 1.0) / (nt + v))
                   - np.log((b["cr"].to_numpy(np.float64) + 1.0) / (nr + v)))
-        out = (pd.DataFrame({"doc_id": b["doc_id"],
-                             "n_tokens": b["m"].astype("int64"), "lw": lw})
-               .groupby("doc_id", sort=False, as_index=False)
-               .agg(n_tokens=("n_tokens", "sum"), lw=("lw", "sum")))
-        out["_part"] = (pd.util.hash_pandas_object(out["doc_id"], index=False)
-                        .to_numpy("uint64") % np.uint64(64)).astype(np.int64)
-        return out
+        return (pd.DataFrame({"doc_id": b["doc_id"],
+                              "n_tokens": b["m"].astype("int64"), "lw": lw})
+                .groupby("doc_id", sort=False, as_index=False)
+                .agg(n_tokens=("n_tokens", "sum"), lw=("lw", "sum")))
 
     def per_doc(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.groupby("doc_id", sort=False, as_index=False)
@@ -7628,9 +7532,8 @@ def q_dsir_weights(sf_dir: str) -> pd.DataFrame:
                              "n_tokens": out["n_tokens"].astype("int64"),
                              "weight": np.round(out["lw"], 6)})
 
-    out = (joined.map_batches(contrib, batch_format="pandas")
-           .groupby("_part").map_groups(per_doc, batch_format="pandas")
-           .to_pandas())
+    out = partition_map(joined.map_batches(contrib, batch_format="pandas"),
+                        "doc_id", per_doc).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -7731,8 +7634,6 @@ def q_event_outliers(sf_dir: str) -> pd.DataFrame:
     pre-aggregated partials, then a stateless flag map with the tiny
     per-type stats broadcast. Only outlier rows return (plus z-score),
     so the driver never sees the full event stream."""
-    from .relational import grouped_agg
-
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
 
     def mom(b: pd.DataFrame) -> pd.DataFrame:
@@ -8047,8 +7948,6 @@ def q_cust_order_outer(sf_dir: str) -> pd.DataFrame:
     keys the other lacks, so left-null AND right-null rows survive.
     The right side is a distributed groupby count (unbounded key
     cardinality: no driver combine); money rides as integer cents."""
-    from .relational import bucket_join
-
     cust = _read(sf_dir, "customer", ["c_custkey", "c_acctbal"])
 
     def lprep(b: pd.DataFrame) -> pd.DataFrame:
@@ -8062,7 +7961,6 @@ def q_cust_order_outer(sf_dir: str) -> pd.DataFrame:
     left = cust.map_batches(lprep, batch_format="pandas", batch_size=65536)
 
     orders = _read(sf_dir, "orders", ["o_custkey"])
-    from .relational import keyed_combine
 
     ones = orders.map_batches(
         lambda b: pd.DataFrame({
@@ -8199,12 +8097,10 @@ def q_vocab_growth(sf_dir: str) -> pd.DataFrame:
     """Heaps-law vocabulary growth curve: distinct words seen in the
     first k/10 of the corpus (by doc_id) for k = 1..10.  Per batch the
     token stream collapses to (word, min doc_id) partials BEFORE the
-    exchange; ONE word-hash bucket shuffle computes the global first
+    exchange; ONE word-keyed exchange computes the global first
     occurrence per word; each partition then bins its first-occurrence
     positions against the 10 broadcast cutoffs — only 10-row partial
     histograms reach the driver.  No vocabulary-scale driver state."""
-    from ..functions.hashing import hash_strings
-
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     mx = int(docs.max("doc_id"))
     cutoffs = np.array([(mx * k) // 10 for k in range(1, 11)],
@@ -8216,16 +8112,14 @@ def q_vocab_growth(sf_dir: str) -> pd.DataFrame:
         ex = ex[ex.notna()]
         if ex.empty:
             return pd.DataFrame({"word": pd.Series([], dtype=object),
-                                 "first_doc": pd.Series([], dtype="int64"),
-                                 "_part": pd.Series([], dtype="int64")})
+                                 "first_doc": pd.Series([], dtype="int64")})
         df = pd.DataFrame({
             "word": ex.to_numpy(object),
             "first_doc": b["doc_id"].to_numpy(np.int64)[
                 ex.index.to_numpy(np.int64)],
         })
-        df = df.groupby("word", as_index=False, sort=False)["first_doc"].min()
-        df["_part"] = (hash_strings(df["word"]) % 64).astype("int64")
-        return df
+        return (df.groupby("word", as_index=False, sort=False)["first_doc"]
+                .min())
 
     def bin_part(g: pd.DataFrame, _cut=cutoffs) -> pd.DataFrame:
         first = g.groupby("word", sort=False)["first_doc"].min().to_numpy()
@@ -8234,9 +8128,8 @@ def q_vocab_growth(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"bucket": np.arange(10, dtype=np.int64),
                              "n": counts.astype(np.int64)})
 
-    parts = (docs.map_batches(partial, batch_format="pandas")
-             .groupby("_part").map_groups(bin_part, batch_format="pandas")
-             .to_pandas())
+    parts = partition_map(docs.map_batches(partial, batch_format="pandas"),
+                          "word", bin_part).to_pandas()
     hist = parts.groupby("bucket")["n"].sum().reindex(range(10),
                                                       fill_value=0)
     return pd.DataFrame({
@@ -8315,7 +8208,7 @@ def q_frontier_dedup(sf_dir: str) -> pd.DataFrame:
     default ports, dot segments, utm_* params, fragments) — the
     dedup a frontier does before scheduling fetches.  Per batch the
     stream collapses to (domain, norm_url, n) partials, then ONE
-    domain-hash shuffle computes exact distincts per partition-local
+    domain-keyed exchange computes exact distincts per partition-local
     domain.  The oracle rebuilds every normalized URL from the six
     hazard templates."""
     from .curate import url_table
@@ -8324,13 +8217,9 @@ def q_frontier_dedup(sf_dir: str) -> pd.DataFrame:
     tbl = url_table(docs)
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        g = (b.groupby(["domain", "norm_url"], as_index=False, sort=False)
-             .agg(n=("doc_id", "size")))
-        k = g["domain"].astype(str)
-        g["_part"] = (pd.util.hash_array(k.to_numpy(object),
-                                         categorize=False) % 32).astype(
-                                             "int64")
-        return g
+        return (b.groupby(["domain", "norm_url"], as_index=False,
+                          sort=False)
+                .agg(n=("doc_id", "size")))
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby("domain", sort=False).agg(
@@ -8343,9 +8232,8 @@ def q_frontier_dedup(sf_dir: str) -> pd.DataFrame:
             "n_dupes": (agg["n_urls"] - agg["n_distinct"]).astype("int64"),
         })
 
-    out = (tbl.map_batches(partial, batch_format="pandas")
-           .groupby("_part").map_groups(per_part, batch_format="pandas")
-           .to_pandas())
+    out = partition_map(tbl.map_batches(partial, batch_format="pandas"),
+                        "domain", per_part).to_pandas()
     return out.sort_values("domain").reset_index(drop=True)
 
 
@@ -8382,7 +8270,7 @@ def q_crawl_schedule(sf_dir: str) -> pd.DataFrame:
     """Politeness fetch scheduler: within each registered domain, order
     fetches by doc_id and space them by the domain's crawl delay
     (200ms x (1 + len(domain) % 4) — a stand-in for robots
-    crawl-delay).  ONE domain-hash shuffle; each partition ranks its
+    crawl-delay).  ONE domain-keyed exchange; each partition ranks its
     disjoint domains with a vectorized sort + cumcount.  The per-doc
     schedule stays distributed at web scale (this query collects it
     only for the oracle compare)."""
@@ -8390,13 +8278,6 @@ def q_crawl_schedule(sf_dir: str) -> pd.DataFrame:
 
     docs = _read(sf_dir, "documents", ["doc_id", "source"])
     tbl = url_table(docs)
-
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[["doc_id", "domain"]].copy()
-        b["_part"] = (pd.util.hash_array(
-            b["domain"].to_numpy(object), categorize=False) % 32).astype(
-                "int64")
-        return b
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["domain", "doc_id"])
@@ -8409,9 +8290,8 @@ def q_crawl_schedule(sf_dir: str) -> pd.DataFrame:
             "fetch_at_ms": (slot * delay).astype("int64").to_numpy(),
         })
 
-    out = (tbl.map_batches(tag, batch_format="pandas")
-           .groupby("_part").map_groups(per_part, batch_format="pandas")
-           .to_pandas())
+    out = partition_map(tbl.select_columns(["doc_id", "domain"]), "domain",
+                        per_part).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -8440,7 +8320,7 @@ def q_anchor_text(sf_dir: str) -> pd.DataFrame:
     to it, with how many distinct anchor texts, and what the dominant
     anchor text is (highest count, lexicographically smallest on
     ties).  Per batch the link stream collapses to (href, text, n)
-    partials; ONE href-hash shuffle, per-partition exact counts.
+    partials; ONE href-keyed exchange, per-partition exact counts.
     Rows-only (the page chrome is PRNG-generated, so SQL cannot replay
     the hrefs); planted-corpus exactness + total-count parity vs
     outlink_stats are pinned in tests/test_sequence_queries.py."""
@@ -8454,7 +8334,7 @@ def q_anchor_text(sf_dir: str) -> pd.DataFrame:
 def anchor_text_rollup(pages: rd.Dataset) -> pd.DataFrame:
     """Per-href anchor rollup over a Dataset with an ``html`` column.
     Scale shape: partials are (href, text, n) — bounded by the anchor
-    vocabulary, not the corpus; one href-hash shuffle; the driver sees
+    vocabulary, not the corpus; one href-keyed exchange; the driver sees
     one row per distinct href."""
     from ..functions.htmlx import extract_links
 
@@ -8465,18 +8345,9 @@ def anchor_text_rollup(pages: rd.Dataset) -> pd.DataFrame:
             for link in extract_links(h):
                 hrefs.append(link["href"])
                 texts.append(link["text"])
-        if not hrefs:
-            return pd.DataFrame({"href": pd.Series([], dtype=object),
-                                 "text": pd.Series([], dtype=object),
-                                 "n": pd.Series([], dtype="int64"),
-                                 "_part": pd.Series([], dtype="int64")})
-        df = pd.DataFrame({"href": hrefs, "text": texts})
-        g = df.groupby(["href", "text"], as_index=False, sort=False).agg(
+        df = pd.DataFrame({"href": hrefs, "text": texts}, dtype=object)
+        return df.groupby(["href", "text"], as_index=False, sort=False).agg(
             n=("text", "size"))
-        g["_part"] = (pd.util.hash_array(g["href"].to_numpy(object),
-                                         categorize=False) % 32).astype(
-                                             "int64")
-        return g
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         full = (g.groupby(["href", "text"], as_index=False, sort=False)
@@ -8495,9 +8366,8 @@ def anchor_text_rollup(pages: rd.Dataset) -> pd.DataFrame:
             "top_text": out["text"],
         })
 
-    return (pages.map_batches(partial, batch_format="pandas")
-            .groupby("_part").map_groups(per_part, batch_format="pandas")
-            .to_pandas())
+    return partition_map(pages.map_batches(partial, batch_format="pandas"),
+                         "href", per_part).to_pandas()
 
 
 def q_redirect_chains(sf_dir: str) -> pd.DataFrame:
@@ -8512,8 +8382,6 @@ def q_redirect_chains(sf_dir: str) -> pd.DataFrame:
     chain length is bounded by construction (strictly decreasing ids);
     the loop asserts convergence instead of trusting it.  Oracle:
     recursive CTE walking the same edges."""
-    from .relational import bucket_join
-
     docs = _read(sf_dir, "documents", ["doc_id"])
 
     def mk_edges(b: pd.DataFrame) -> pd.DataFrame:
@@ -9082,7 +8950,7 @@ FROM documents ORDER BY doc_id
 def q_source_overlap(sf_dir: str) -> pd.DataFrame:
     """Cross-source contamination matrix (the audit run before mixing
     corpora into a training blend): for every source pair, how many
-    DISTINCT 5-grams they share.  One gram-hash shuffle: per-batch
+    DISTINCT 5-grams they share.  One gram-keyed exchange: per-batch
     (source, gram) distincting first (the combiner that keeps the
     exchange near gram-vocabulary scale), then each gram partition
     self-joins its <=n_sources rows and emits per-pair partials; only
@@ -9094,11 +8962,8 @@ def q_source_overlap(sf_dir: str) -> pd.DataFrame:
     def grams(b: pd.DataFrame) -> pd.DataFrame:
         g, d, _ = hashing.batch_word_grams(
             b["text"].fillna("").tolist(), 5)
-        df = pd.DataFrame({"source": b["source"].to_numpy(object)[d],
-                           "gram": g}).drop_duplicates()
-        h = hashing.hash_strings(df["gram"].to_numpy(dtype=object))
-        df["_part"] = (h % np.uint64(64)).astype(np.int64)
-        return df
+        return pd.DataFrame({"source": b["source"].to_numpy(object)[d],
+                             "gram": g}).drop_duplicates()
 
     rows = docs.map_batches(grams, batch_format="pandas",
                             batch_size=2048)
@@ -9107,14 +8972,12 @@ def q_source_overlap(sf_dir: str) -> pd.DataFrame:
         g = g.drop_duplicates(["source", "gram"])
         m = g.merge(g, on="gram")
         m = m[m["source_x"] < m["source_y"]]
-        out = (m.groupby(["source_x", "source_y"], as_index=False)
+        return (m.groupby(["source_x", "source_y"], as_index=False)
                 .size().rename(columns={
                     "source_x": "source_a", "source_y": "source_b",
                     "size": "n_shared_grams"}))
-        return out
 
-    parts = (rows.groupby("_part")
-             .map_groups(pairs, batch_format="pandas").to_pandas())
+    parts = partition_map(rows, "gram", pairs).to_pandas()
     out = (parts.groupby(["source_a", "source_b"], as_index=False)
            ["n_shared_grams"].sum())
     out["n_shared_grams"] = out["n_shared_grams"].astype("int64")
@@ -9410,8 +9273,6 @@ def q_expectations(sf_dir: str) -> pd.DataFrame:
     the dimension table); every row-local predicate and the OR-fold
     are vectorized in the same pass; only the fixed-size per-batch
     count partials reach the driver."""
-    from .relational import bucket_join
-
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_orderstatus",
                     "o_totalprice", "o_orderpriority"])
@@ -9737,12 +9598,12 @@ def q_typo_pairs(sf_dir: str) -> pd.DataFrame:
     the spelling-variant / entity-blocking shape): over the corpus's
     distinct words of length >= 4 plus a deterministic planted variant
     of each (middle character deleted), find every unordered pair
-    within one edit. Candidates come from ONE variant-hash shuffle (no
-    all-pairs scan); a vectorized-DP Levenshtein verify on the deduped
-    pair stream kills the rule's false positives. The twin brute-forces
-    the same term table with DuckDB's levenshtein()."""
+    within one edit. The term table is distinct after ONE term-keyed
+    exchange; candidates come from typo_pairs' variant-keyed exchange
+    (no all-pairs scan); a vectorized-DP Levenshtein verify on the
+    deduped pair stream kills the rule's false positives. The twin
+    brute-forces the same term table with DuckDB's levenshtein()."""
     from .dedup import typo_pairs
-    from ..functions import hashing
 
     docs = _read(sf_dir, "documents", ["text"])
 
@@ -9753,16 +9614,14 @@ def q_typo_pairs(sf_dir: str) -> pd.DataFrame:
         for t in w:
             p = len(t) // 2
             terms.add(t[:p] + t[p + 1:])
-        out = np.asarray(sorted(terms), dtype=object)
-        h = hashing.hash_strings(out)
-        return pd.DataFrame({
-            "_dp": (h % np.uint64(64)).astype(np.int64), "term": out})
+        return pd.DataFrame({"term": np.asarray(sorted(terms), dtype=object)})
 
     def distinct(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates("term")[["term"]]
+        return g.drop_duplicates("term")
 
-    terms = (docs.map_batches(local_terms, batch_format="pandas")
-             .groupby("_dp").map_groups(distinct, batch_format="pandas"))
+    terms = partition_map(docs.map_batches(local_terms,
+                                           batch_format="pandas"),
+                          "term", distinct)
     return typo_pairs(terms)
 
 
@@ -10585,8 +10444,6 @@ def q_scd2_join(sf_dir: str) -> pd.DataFrame:
     key-hash bucket_join co-locates facts with their <= 3 dimension
     versions, then a vectorized interval filter — the standard
     fact x SCD2 enrichment at lakehouse scale."""
-    from .relational import bucket_join
-
     docs = _read(sf_dir, "documents", ["doc_id", "n_chars"])
 
     def probes(b: pd.DataFrame) -> pd.DataFrame:

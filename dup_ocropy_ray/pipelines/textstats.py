@@ -15,6 +15,7 @@ import ray
 import ray.data as rd
 
 from ..functions import hashing
+from .relational import bucket_join, keyed_combine, partition_map, topk
 
 # tiny per-language stopword lists for the lang-id heuristic (the classic
 # stopword-hit method; n-gram models would need training data)
@@ -98,14 +99,11 @@ def langid_table(ds: rd.Dataset) -> rd.Dataset:
     return ds.map_batches(f, batch_format="pandas", batch_size=65536)
 
 
-def distinctive_terms(
-    ds: rd.Dataset,
-    num_partitions: int = 64,
-) -> rd.Dataset:
+def distinctive_terms(ds: rd.Dataset) -> rd.Dataset:
     """(source, term, tf, df, score) — inverted-index-style two-level
     aggregation: per-batch partial (source, term) counts (tf =
     occurrences, dfs = docs-in-batch-in-source containing term), ONE
-    term-keyed bucket shuffle that both merges partials and computes
+    term-keyed ``partition_map`` that both merges partials and computes
     each term's global doc frequency (a term's rows all co-locate, and
     every doc lives in exactly one source, so df = sum of dfs), then an
     integer distinctiveness score tf*1e6 // df. Integer arithmetic keeps
@@ -122,8 +120,6 @@ def distinctive_terms(
         })
         g = ex.groupby(["source", "term"], as_index=False, sort=False).agg(
             tf=("doc_id", "size"), dfs=("doc_id", "nunique"))
-        h = hashing.hash_strings(g["term"].to_numpy(dtype=object))
-        g["_part"] = (h % np.uint64(num_partitions)).astype("int64")
         return g
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
@@ -137,11 +133,9 @@ def distinctive_terms(
             "score": (st["tf"].astype("int64") * 1_000_000) // df,
         })
 
-    return (
-        ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .groupby("_part")
-        .map_groups(combine, batch_format="pandas")
-    )
+    return partition_map(
+        ds.map_batches(partial, batch_format="pandas", batch_size=65536),
+        "term", combine)
 
 
 def fingerprint_table(ds: rd.Dataset, window: int = 8, keep_mod: int = 8) -> rd.Dataset:
@@ -406,17 +400,17 @@ def build_text_index(ds: rd.Dataset, out_dir: str,
 
 
 def search_text_index(index_dir: str, terms: list[str],
-                      k: int = 10, num_partitions: int = 8
-                      ) -> pd.DataFrame:
+                      k: int = 10) -> pd.DataFrame:
     """BM25-shaped search over a ``build_text_index`` layout, identical
     integer-rational scoring to bm25_search — but instead of scanning
     the corpus it reads ONLY the query terms' posting buckets
     (terms/num_buckets of the index; other buckets never leave
     storage). df per term is exact from the filtered postings (each row
     is a distinct (doc, term)); per-doc scores need a doc-keyed combine
-    because a doc's terms live in different buckets — one fixed-bucket
-    shuffle of (doc, partial) rows filtered to matching docs only, then
-    per-partition sum + local top-k, driver merges k-row partials."""
+    because a doc's terms live in different buckets — one doc-keyed
+    ``partition_map`` of (doc, partial) rows filtered to matching docs
+    only, then per-partition sum + local top-k, driver merges k-row
+    partials."""
     import glob as _glob
     import json
     import os
@@ -470,18 +464,15 @@ def search_text_index(index_dir: str, terms: list[str],
               // (int(dfmap.get(t, 0)) + 1) for t in terms}
     idf_ref = ray.put(idf)
 
-    # pass 2: per-posting partial scores -> doc-keyed bucket shuffle
+    # pass 2: per-posting partial scores -> doc-keyed exchange
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         w = ray.get(idf_ref)
         tf = b["tf"].to_numpy(dtype="int64")
         sc = tf * b["term"].map(w).to_numpy(dtype="int64") // (tf + 1)
         out = pd.DataFrame({"doc_id": b["doc_id"].astype("int64"),
                             "part": sc})
-        out = (out.groupby("doc_id", as_index=False, sort=False)["part"]
-               .sum())
-        out["_p"] = (out["doc_id"].to_numpy(dtype="uint64")
-                     % np.uint64(num_partitions)).astype("int64")
-        return out
+        return (out.groupby("doc_id", as_index=False, sort=False)["part"]
+                .sum())
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby("doc_id", as_index=False)["part"].sum()
@@ -490,10 +481,9 @@ def search_text_index(index_dir: str, terms: list[str],
                               ascending=[False, True]).head(k)
                 [["doc_id", "score"]])
 
-    top = (posts.map_batches(partial, batch_format="pandas",
-                             batch_size=65536)
-           .groupby("_p").map_groups(combine, batch_format="pandas")
-           .to_pandas())
+    top = partition_map(posts.map_batches(partial, batch_format="pandas",
+                                          batch_size=65536),
+                        "doc_id", combine).to_pandas()
     if "score" not in top.columns:    # every partition pruned to empty
         return pd.DataFrame({"doc_id": pd.Series(dtype="int64"),
                              "score": pd.Series(dtype="int64")})
@@ -553,8 +543,8 @@ def build_trigram_index(ds: rd.Dataset, out_dir: str,
     return n_docs
 
 
-def search_trigram_index(index_dir: str, needle: str, docs: rd.Dataset,
-                         num_partitions: int = 8) -> pd.DataFrame:
+def search_trigram_index(index_dir: str, needle: str, docs: rd.Dataset
+                         ) -> pd.DataFrame:
     """Exact substring search (``needle in text``) over a
     build_trigram_index layout. Candidate docs must contain ALL of the
     needle's distinct trigrams (AND-semantics via a doc-keyed count
@@ -568,8 +558,6 @@ def search_trigram_index(index_dir: str, needle: str, docs: rd.Dataset,
     import os
 
     import pyarrow as pa
-
-    from .relational import bucket_join, keyed_combine
 
     codes = _trigram_codes(needle)
     if codes.shape[0] == 0:
@@ -599,14 +587,13 @@ def search_trigram_index(index_dir: str, needle: str, docs: rd.Dataset,
 
     posts = rd.read_parquet(files, columns=["tri", "doc_id"]).map_batches(
         prune, batch_format="pyarrow", batch_size=65536)
-    cand = keyed_combine(posts, "doc_id", ["hits"], "sum",
-                         num_partitions).filter(
+    cand = keyed_combine(posts, "doc_id", ["hits"], "sum").filter(
         lambda r: r["hits"] >= n_need)
 
     cand_schema = pa.schema([("doc_id", pa.int64()), ("hits", pa.int64())])
     doc_schema = pa.schema([("doc_id", pa.int64()), ("text", pa.string())])
     j = bucket_join(cand, docs.select_columns(["doc_id", "text"]),
-                    "doc_id", "doc_id", num_partitions=num_partitions,
+                    "doc_id", "doc_id",
                     left_schema=cand_schema, right_schema=doc_schema)
 
     def verify(b: pd.DataFrame) -> pd.DataFrame:
@@ -626,8 +613,7 @@ def search_trigram_index(index_dir: str, needle: str, docs: rd.Dataset,
 _PHRASE_POS_SPAN = 1 << 21  # max tokens per doc the composed key allows
 
 
-def phrase_search_index(index_dir: str, phrase: str,
-                        num_partitions: int = 8) -> pd.DataFrame:
+def phrase_search_index(index_dir: str, phrase: str) -> pd.DataFrame:
     """Exact PHRASE query over a positional build_text_index layout:
     docs containing the whitespace-token sequence contiguously, with
     the count of phrase starts. Returns (doc_id, n_matches) sorted by
@@ -635,7 +621,7 @@ def phrase_search_index(index_dir: str, phrase: str,
 
     Prune at the read: only the phrase terms' bucket directories leave
     storage, and postings are filtered to the phrase terms before the
-    ONE doc-keyed shuffle (phrase-posting scale, not corpus scale).
+    ONE doc-keyed exchange (phrase-posting scale, not corpus scale).
     Within a partition the intersection is vectorized across ALL its
     docs at once: occurrence j of word w_j contributes the sorted key
     set {doc * 2^21 + pos - j}; a phrase start is a key present in
@@ -680,10 +666,7 @@ def phrase_search_index(index_dir: str, phrase: str,
 
         keep = pc.is_in(t.column("term"),
                         value_set=pa.array(ray.get(tset), pa.string()))
-        out = t.filter(keep).select(["term", "doc_id", "pos"])
-        tag = (out.column("doc_id").to_numpy(zero_copy_only=False)
-               % num_partitions)
-        return out.append_column("_p", pa.array(tag, pa.int64()))
+        return t.filter(keep).select(["term", "doc_id", "pos"])
 
     posts = rd.read_parquet(
         files, columns=["term", "doc_id", "pos"]
@@ -719,8 +702,7 @@ def phrase_search_index(index_dir: str, phrase: str,
         return pd.DataFrame({"doc_id": docs.astype(np.int64),
                              "n_matches": counts.astype(np.int64)})
 
-    out = (posts.groupby("_p")
-           .map_groups(count_part, batch_format="pandas").to_pandas())
+    out = partition_map(posts, "doc_id", count_part).to_pandas()
     if "doc_id" not in out.columns or not len(out):
         return empty
     return (out.astype({"doc_id": "int64", "n_matches": "int64"})
@@ -831,27 +813,39 @@ def hash_embed_table(ds: rd.Dataset, dim: int = 64) -> rd.Dataset:
     return ds.map_batches(f, batch_format="pandas", batch_size=8192)
 
 
+def word_counts(ds: rd.Dataset, text_col: str = "text") -> rd.Dataset:
+    """The distributed (word, c) table of whitespace-token counts: a
+    per-batch ``value_counts`` partial and one word-keyed
+    ``keyed_combine``. Nothing vocabulary-scale lands on the driver."""
+
+    def partial(b: pd.DataFrame) -> pd.DataFrame:
+        vc = (b[text_col].fillna("").str.split().explode().dropna()
+              .value_counts())
+        return pd.DataFrame({"word": vc.index.to_numpy(object),
+                             "c": vc.to_numpy(np.int64)})
+
+    return keyed_combine(
+        ds.map_batches(partial, batch_format="pandas", batch_size=65536),
+        "word", ["c"])
+
+
 def pmi_bigrams(ds: rd.Dataset, k: int = 20, min_count: int = 5
                 ) -> pd.DataFrame:
     """Top-k word-bigram collocations by pointwise mutual information:
     PMI = ln(N_bi * c(a,b) / (c(a) * c(b))) over adjacent-token counts.
 
     Fully distributed — nothing vocabulary-scale touches the driver:
-    bigram counts ride one coarse gram-hash shuffle, unigram counts ride
-    one word-hash shuffle, and scoring attaches c(a)/c(b) to each
+    bigram counts ride one gram-keyed exchange, unigram counts are
+    ``word_counts``, and scoring attaches c(a)/c(b) to each
     surviving (>= min_count) bigram with two large x large bucket_joins
     keyed on the bigram's words. The only driver data are the N_bi
     scalar (per-batch partial sums) and the final k x blocks top-k
     merge. Ties break by bigram text ascending."""
     from ..functions.hashing import batch_word_grams
-    from .relational import bucket_join, topk
 
     def bigram_rows(b: pd.DataFrame) -> pd.DataFrame:
         grams, _d, _p = batch_word_grams(b["text"].tolist(), 2)
-        out = pd.DataFrame({"gram": grams})
-        h = hashing.hash_strings(grams)
-        out["_part"] = (h % np.uint64(64)).astype(np.int64)
-        return out
+        return pd.DataFrame({"gram": grams})
 
     def count_part(g: pd.DataFrame) -> pd.DataFrame:
         vc = g.groupby("gram", sort=False).size()
@@ -868,29 +862,14 @@ def pmi_bigrams(ds: rd.Dataset, k: int = 20, min_count: int = 5
                              "b": sp[1].to_numpy(object),
                              "c_ab": cnt[keep]})
 
-    bi = (ds.map_batches(bigram_rows, batch_format="pandas", batch_size=8192)
-            .groupby("_part").map_groups(count_part, batch_format="pandas"))
-
-    def uni_rows(b: pd.DataFrame) -> pd.DataFrame:
-        words = b["text"].fillna("").str.split().explode().dropna()
-        vc = words.value_counts()
-        out = pd.DataFrame({"word": vc.index.to_numpy(object),
-                            "c": vc.to_numpy(np.int64)})
-        out["_part"] = (hashing.hash_strings(out["word"].to_numpy(object))
-                        % np.uint64(64)).astype(np.int64)
-        return out
-
-    def uni_count(g: pd.DataFrame) -> pd.DataFrame:
-        vc = g.groupby("word", sort=False)["c"].sum()
-        return pd.DataFrame({"word": vc.index.to_numpy(object),
-                             "c": vc.to_numpy(np.int64)})
+    bi = partition_map(ds.map_batches(bigram_rows, batch_format="pandas",
+                                      batch_size=8192),
+                       "gram", count_part)
 
     # materialized: consumed twice (c_a and c_b join legs) — the blocks
     # stay distributed; this only pins the vocab-scale table so the
-    # word-hash shuffle runs once
-    uni = (ds.map_batches(uni_rows, batch_format="pandas", batch_size=65536)
-             .groupby("_part").map_groups(uni_count, batch_format="pandas")
-             .materialize())
+    # word-keyed exchange runs once
+    uni = word_counts(ds).materialize()
 
     # N_bi (ALL bigram occurrences, pre-floor) = sum over docs of
     # max(0, n_words - 1): scalar partials, no extra shuffle
@@ -941,60 +920,38 @@ def bigram_logprob(ds: rd.Dataset) -> pd.DataFrame:
     context. Docs with < 2 tokens emit no bigrams and no row.
 
     Fully distributed, the pmi_bigrams/unigram_logprob shape: bigram
-    counts ride one gram-hash shuffle; left-context counts derive from
-    THAT table via a word-hash reshuffle (gram-vocab scale, never a
-    second corpus tokenize); per-(doc, gram) multiplicities meet the
-    count tables in two large x large bucket_joins; per-doc sums ride
-    one doc-keyed bucket reduce. Nothing vocabulary-scale lands on the
-    driver."""
+    counts are one gram-keyed ``keyed_combine``; left-context counts
+    derive from THAT table by a word-keyed ``keyed_combine``
+    (gram-vocab scale, never a second corpus tokenize); per-(doc, gram)
+    multiplicities meet the count tables in two large x large
+    bucket_joins; per-doc sums ride one doc-keyed ``partition_map``.
+    Nothing vocabulary-scale lands on the driver."""
     import pyarrow as pa
 
     from ..functions.hashing import batch_word_grams
-    from .relational import bucket_join
 
     def bi_partial(b: pd.DataFrame) -> pd.DataFrame:
         grams, _d, _p = batch_word_grams(b["text"].tolist(), 2)
         vc = pd.Series(grams, dtype=object).value_counts()
-        out = pd.DataFrame({"gram": vc.index.to_numpy(object),
-                            "c_ab": vc.to_numpy(np.int64)})
-        out["_part"] = (hashing.hash_strings(out["gram"].to_numpy(object))
-                        % np.uint64(64)).astype(np.int64)
-        return out
-
-    def bi_final(g: pd.DataFrame) -> pd.DataFrame:
-        vc = g.groupby("gram", sort=False)["c_ab"].sum()
         return pd.DataFrame({"gram": vc.index.to_numpy(object),
                              "c_ab": vc.to_numpy(np.int64)})
 
     # materialized: consumed twice (ctx derivation + the join) — blocks
     # stay distributed, only the plan is pinned
-    bi_cnt = (ds.map_batches(bi_partial, batch_format="pandas",
-                             batch_size=8192)
-                .groupby("_part").map_groups(bi_final,
-                                             batch_format="pandas")
-                .materialize())
+    bi_cnt = keyed_combine(
+        ds.map_batches(bi_partial, batch_format="pandas", batch_size=8192),
+        "gram", ["c_ab"]).materialize()
 
     # c(a.) by re-keying the gram table on its LEFT word (gram strings
     # are space-joined; tokens are whitespace-split so the first space
     # is the boundary)
-    def ctx_partial(b: pd.DataFrame) -> pd.DataFrame:
-        left = b["gram"].str.split(" ", n=1).str[0]
-        s = b.groupby(left, sort=False)["c_ab"].sum()
-        out = pd.DataFrame({"word": s.index.to_numpy(object),
-                            "c_a": s.to_numpy(np.int64)})
-        out["_part"] = (hashing.hash_strings(out["word"].to_numpy(object))
-                        % np.uint64(64)).astype(np.int64)
-        return out
+    def ctx_rows(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"word": b["gram"].str.split(" ", n=1).str[0],
+                             "c_a": b["c_ab"]})
 
-    def ctx_final(g: pd.DataFrame) -> pd.DataFrame:
-        s = g.groupby("word", sort=False)["c_a"].sum()
-        return pd.DataFrame({"word": s.index.to_numpy(object),
-                             "c_a": s.to_numpy(np.int64)})
-
-    ctx = (bi_cnt.map_batches(ctx_partial, batch_format="pandas",
-                              batch_size=65536)
-                 .groupby("_part").map_groups(ctx_final,
-                                              batch_format="pandas"))
+    ctx = keyed_combine(bi_cnt.map_batches(ctx_rows, batch_format="pandas",
+                                           batch_size=65536),
+                        "word", ["c_a"])
 
     # per-(doc, gram) multiplicities, pre-aggregated in the batch
     def doc_grams(b: pd.DataFrame) -> pd.DataFrame:
@@ -1022,15 +979,11 @@ def bigram_logprob(ds: rd.Dataset) -> pd.DataFrame:
         m = b["m"].to_numpy(np.float64)
         lp = m * -np.log(b["c_ab"].to_numpy(np.float64)
                          / b["c_a"].to_numpy(np.float64))
-        out = (pd.DataFrame({"doc_id": b["doc_id"],
-                             "n_bigrams": b["m"].astype("int64"),
-                             "lp": lp})
-               .groupby("doc_id", sort=False, as_index=False)
-               .agg(n_bigrams=("n_bigrams", "sum"), lp=("lp", "sum")))
-        out["_part"] = (pd.util.hash_pandas_object(out["doc_id"],
-                                                   index=False)
-                        .to_numpy("uint64") % np.uint64(64)).astype(np.int64)
-        return out
+        return (pd.DataFrame({"doc_id": b["doc_id"],
+                              "n_bigrams": b["m"].astype("int64"),
+                              "lp": lp})
+                .groupby("doc_id", sort=False, as_index=False)
+                .agg(n_bigrams=("n_bigrams", "sum"), lp=("lp", "sum")))
 
     def per_doc(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.groupby("doc_id", sort=False, as_index=False)
@@ -1039,9 +992,8 @@ def bigram_logprob(ds: rd.Dataset) -> pd.DataFrame:
                              "n_bigrams": out["n_bigrams"].astype("int64"),
                              "logprob": np.round(out["lp"], 6)})
 
-    out = (j2.map_batches(contrib, batch_format="pandas")
-             .groupby("_part").map_groups(per_doc, batch_format="pandas")
-             .to_pandas())
+    out = partition_map(j2.map_batches(contrib, batch_format="pandas"),
+                        "doc_id", per_doc).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -1138,44 +1090,30 @@ def gopher_quality_table(ds: rd.Dataset) -> rd.Dataset:
 # ------------------------------------------------- BPE tokenizer training
 
 
-def bpe_train(ds: rd.Dataset, num_merges: int = 30,
-              parts: int = 64) -> pd.DataFrame:
+def bpe_train(ds: rd.Dataset, num_merges: int = 30) -> pd.DataFrame:
     """Distributed BPE tokenizer training (Sennrich et al. 2016): learn
     ``num_merges`` merge rules over the corpus word distribution.
 
     Scale shape: the corpus collapses ONCE to a distinct-word count
-    table (gram-hash shuffle of per-batch partials) that stays
-    distributed for the whole run; each merge round is (a) per-block
-    adjacent-pair partial counts, (b) a pair-hash shuffle where each
-    partition reduces to its own top pair, (c) a metadata-scale driver
-    argmax over the ``parts`` partition winners (exact, like
-    heavy_hitters), (d) a map applying the merge only to words that
+    table (``word_counts``) that stays distributed for the whole run;
+    each merge round is (a) per-block adjacent-pair partial counts,
+    (b) one pair-keyed ``partition_map`` where each partition reduces
+    to its own top pair, (c) a metadata-scale driver argmax over the
+    per-partition winners (exact, like heavy_hitters), (d) a map
+    applying the merge only to words that
     contain the pair. Driver state is the merge list — never a
     vocabulary-scale table. Ties break on (count desc, left asc,
     right asc) so results are deterministic and serially reproducible.
 
     Returns (rank, left, right, count) per learned merge."""
 
-    def wc_partial(b: pd.DataFrame) -> pd.DataFrame:
-        vc = (b["text"].fillna("").str.split().explode().dropna()
-              .value_counts())
-        out = pd.DataFrame({"word": vc.index.to_numpy(object),
-                            "c": vc.to_numpy(np.int64)})
-        out["_part"] = (hashing.hash_strings(out["word"].to_numpy(object))
-                        % np.uint64(parts)).astype(np.int64)
-        return out
-
-    def wc_final(g: pd.DataFrame) -> pd.DataFrame:
-        vc = g.groupby("word", sort=False)["c"].sum()
-        words = vc.index.to_numpy(object)
+    def to_syms(b: pd.DataFrame) -> pd.DataFrame:
         # symbol sequences: characters + the end-of-word marker
-        syms = [list(w) + ["</w>"] for w in words]
-        return pd.DataFrame({"syms": syms, "c": vc.to_numpy(np.int64)})
+        return pd.DataFrame({"syms": [list(w) + ["</w>"] for w in b["word"]],
+                             "c": b["c"].astype("int64")})
 
-    vocab = (ds.map_batches(wc_partial, batch_format="pandas",
-                            batch_size=65536)
-               .groupby("_part").map_groups(wc_final, batch_format="pandas")
-               .materialize())
+    vocab = (word_counts(ds).map_batches(to_syms, batch_format="pandas")
+             .materialize())
 
     def pair_partial(b: pd.DataFrame) -> pd.DataFrame:
         rows = {}
@@ -1189,32 +1127,22 @@ def bpe_train(ds: rd.Dataset, num_merges: int = 30,
                                  "right": pd.Series([], dtype=str),
                                  "pc": pd.Series([], dtype="int64")})
         ks = list(rows.keys())
-        out = pd.DataFrame({"left": [k[0] for k in ks],
-                            "right": [k[1] for k in ks],
-                            "pc": pd.Series(list(rows.values()),
-                                            dtype="int64")})
-        out["_p2"] = (hashing.hash_strings(
-            (out["left"] + "\x00" + out["right"]).to_numpy(object))
-            % np.uint64(parts)).astype(np.int64)
-        return out
+        return pd.DataFrame({"left": [k[0] for k in ks],
+                             "right": [k[1] for k in ks],
+                             "pc": pd.Series(list(rows.values()),
+                                             dtype="int64")})
 
     def part_top(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({"left": pd.Series([], dtype=str),
-                                 "right": pd.Series([], dtype=str),
-                                 "pc": pd.Series([], dtype="int64")})
-        s = (g.groupby(["left", "right"], sort=False, as_index=False)["pc"]
-             .sum()
-             .sort_values(["pc", "left", "right"],
-                          ascending=[False, True, True]))
-        return s.head(1).drop(columns=[c for c in s.columns
-                                       if c == "_p2"], errors="ignore")
+        return (g.groupby(["left", "right"], sort=False, as_index=False)
+                ["pc"].sum()
+                .sort_values(["pc", "left", "right"],
+                             ascending=[False, True, True]).head(1))
 
     merges = []
     for rank in range(num_merges):
-        tops = (vocab.map_batches(pair_partial, batch_format="pandas")
-                .groupby("_p2").map_groups(part_top, batch_format="pandas")
-                .to_pandas())
+        tops = partition_map(
+            vocab.map_batches(pair_partial, batch_format="pandas"),
+            ["left", "right"], part_top).to_pandas()
         if len(tops) == 0:
             break
         tops = tops.sort_values(["pc", "left", "right"],
@@ -1269,17 +1197,15 @@ def nb_classifier(ds: rd.Dataset, label_col: str = "lang",
 
     Distributed shape (no vocab-scale driver state, mirroring
     q_unigram_logprob): per-batch partial (word x class) count pivots
-    ride ONE word-hash shuffle into the sharded count table; class
+    ride ONE word-keyed ``keyed_combine`` into the count table; class
     doc/token totals and V are metadata-scale reduces over it; held-out
     per-(doc, word) multiplicities meet the table in one large x large
-    bucket_join; per-doc integer score deltas ride one doc-keyed bucket
-    reduce where the argmax happens. The driver holds k scalars per
+    bucket_join; per-doc integer score deltas ride one doc-keyed
+    ``partition_map`` where the argmax happens. The driver holds k scalars per
     class and the final doc-scale frame."""
     import math
 
     import pyarrow as pa
-
-    from .relational import bucket_join, partition_map
 
     # -- pass 0 (metadata-scale): class list + doc-count priors
     def lang_partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -1300,7 +1226,7 @@ def nb_classifier(ds: rd.Dataset, label_col: str = "lang",
 
     ccols = [f"c{j}" for j in range(k)]
 
-    # -- pass 1: word-hash-sharded (word x class) count table
+    # -- pass 1: the word-keyed (word x class) count table
     def wc_partial(b: pd.DataFrame) -> pd.DataFrame:
         tr = (b[b["doc_id"].to_numpy(np.int64) % train_mod != 0]
               .reset_index(drop=True))
@@ -1314,20 +1240,11 @@ def nb_classifier(ds: rd.Dataset, label_col: str = "lang",
         for j, c in enumerate(classes):
             out[ccols[j]] = (g[c].to_numpy(np.int64)
                              if c in g.columns else np.int64(0))
-        out["_part"] = (hashing.hash_strings(out["word"].to_numpy(object))
-                        % np.uint64(64)).astype(np.int64)
         return out
 
-    def wc_final(g: pd.DataFrame) -> pd.DataFrame:
-        agg = g.groupby("word", sort=False, as_index=False)[ccols].sum()
-        for c in ccols:
-            agg[c] = agg[c].astype("int64")
-        return agg
-
-    counts = (ds.map_batches(wc_partial, batch_format="pandas",
-                             batch_size=65536)
-              .groupby("_part").map_groups(wc_final, batch_format="pandas")
-              .materialize())
+    counts = keyed_combine(
+        ds.map_batches(wc_partial, batch_format="pandas", batch_size=65536),
+        "word", ccols).materialize()
 
     # -- metadata-scale reduces over the count table: N_c and V
     def tot_partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -1508,8 +1425,7 @@ def vocab_coverage(ds: rd.Dataset, k: int = 100) -> pd.DataFrame:
     })
 
 
-def source_kl(ds: rd.Dataset, group_col: str = "source",
-              parts: int = 64) -> pd.DataFrame:
+def source_kl(ds: rd.Dataset, group_col: str = "source") -> pd.DataFrame:
     """Per-source KL divergence of the source's word distribution from
     the corpus-wide distribution — the data-mixture drift diagnostic
     (which sources are lexically atypical).
@@ -1520,7 +1436,7 @@ def source_kl(ds: rd.Dataset, group_col: str = "source",
     per (word, source), identical on both engines). Consumers divide by
     1e6 * n_tokens for nats.
 
-    Distributed shape: ONE word-hash shuffle builds the word x source
+    Distributed shape: ONE word-keyed exchange builds the word x source
     count table; the word marginal c_w is each pivot row's own sum, so
     scoring is row-local with just the (N, N_s) scalars broadcast —
     the driver never sees a vocabulary-scale table."""
@@ -1552,8 +1468,6 @@ def source_kl(ds: rd.Dataset, group_col: str = "source",
         for j, gname in enumerate(groups):
             out[gcols[j]] = (g[gname].to_numpy(np.int64)
                              if gname in g.columns else np.int64(0))
-        out["_part"] = (hashing.hash_strings(out["word"].to_numpy(object))
-                        % np.uint64(parts)).astype(np.int64)
         return out
 
     def score_shard(g: pd.DataFrame) -> pd.DataFrame:
@@ -1571,11 +1485,9 @@ def source_kl(ds: rd.Dataset, group_col: str = "source",
         return pd.DataFrame({"g": np.arange(len(gcols), dtype=np.int64),
                              "kl": out})
 
-    parts_df = (ds.map_batches(wc_partial, batch_format="pandas",
-                               batch_size=65536)
-                .groupby("_part").map_groups(score_shard,
-                                             batch_format="pandas")
-                .to_pandas())
+    parts_df = partition_map(
+        ds.map_batches(wc_partial, batch_format="pandas", batch_size=65536),
+        "word", score_shard).to_pandas()
     tot = parts_df.groupby("g")["kl"].sum()
     return pd.DataFrame({
         group_col: pd.Series(groups, dtype=str),
@@ -1587,16 +1499,15 @@ def source_kl(ds: rd.Dataset, group_col: str = "source",
 
 
 def ngram_diversity(ds: rd.Dataset, window: int = 3,
-                    group_col: str = "source",
-                    parts: int = 64) -> pd.DataFrame:
+                    group_col: str = "source") -> pd.DataFrame:
     """Per-source W-gram diversity (distinct grams / total grams) —
     the dataset-report self-repetition metric: a source whose permille
     collapses is template/boilerplate-heavy.
 
     Totals are a stateless metadata-scale partial pass. Distinct counts
-    ride ONE gram-hash shuffle (hash-only, batch_window_hashes — no
-    gram strings move): each (gram, source) pair lands in exactly one
-    hash partition, so per-partition nunique partials sum exactly. The
+    ride ONE exchange keyed on the gram hash ``h`` (batch_window_hashes
+    — no gram strings move): each (gram, source) pair lands in exactly
+    one partition, so per-partition nunique partials sum exactly. The
     driver sees k rows per partition, never a vocabulary."""
 
     def totals(b: pd.DataFrame) -> pd.DataFrame:
@@ -1611,24 +1522,18 @@ def ngram_diversity(ds: rd.Dataset, window: int = 3,
     def gram_rows(b: pd.DataFrame) -> pd.DataFrame:
         gh, doc_idx, _pos = hashing.batch_window_hashes(
             b["text"].tolist(), window)
-        g = pd.DataFrame({
+        return pd.DataFrame({
             "h": gh,
             "g": b[group_col].to_numpy(object)[doc_idx],
         }).drop_duplicates()
-        g["_part"] = (g["h"].to_numpy().astype(np.uint64)
-                      % np.uint64(parts)).astype(np.int64)
-        return g
 
     def distinct_shard(g: pd.DataFrame) -> pd.DataFrame:
-        d = g.drop_duplicates(["h", "g"]).groupby(
+        return g.drop_duplicates(["h", "g"]).groupby(
             "g", sort=False).size().reset_index(name="n_distinct")
-        return d
 
-    parts_df = (ds.map_batches(gram_rows, batch_format="pandas",
-                               batch_size=8192)
-                .groupby("_part").map_groups(distinct_shard,
-                                             batch_format="pandas")
-                .to_pandas())
+    parts_df = partition_map(
+        ds.map_batches(gram_rows, batch_format="pandas", batch_size=8192),
+        "h", distinct_shard).to_pandas()
     dist = parts_df.groupby("g", as_index=False)["n_distinct"].sum()
     out = tot.merge(dist, left_on=group_col, right_on="g", how="left")
     n_grams = out["n"].to_numpy(np.int64)
@@ -1853,16 +1758,17 @@ def viterbi_segment(word: str, logp: dict, max_len: int
 
 def unigram_lm_train(ds: rd.Dataset, vocab_size: int = 400,
                      max_piece_len: int = 6, em_iters: int = 4,
-                     seed_keep: int = 2000, parts: int = 64,
+                     seed_keep: int = 2000,
                      text_col: str = "text") -> pd.DataFrame:
     """Distributed unigram-LM tokenizer training (Kudo 2018 — the
     SentencePiece unigram model), the EM counterpart of ``bpe_train``.
 
     Scale shape: the corpus collapses ONCE to the distributed
-    distinct-word count table (same word-hash shuffle as bpe_train).
+    distinct-word count table (``word_counts``, as in bpe_train).
     Seed vocabulary = every single character plus the ``seed_keep``
     highest-frequency substrings (len <= max_piece_len): substring
-    partials combine on a piece-hash shuffle, each partition emits its
+    partials combine on one piece-keyed ``partition_map``, each
+    partition emits its
     own top-``seed_keep`` (a piece's whole count lives in ONE
     partition, so the driver merge over partition winners is EXACT —
     the heavy_hitters argument).  Each hard-EM round broadcasts the
@@ -1880,28 +1786,9 @@ def unigram_lm_train(ds: rd.Dataset, vocab_size: int = 400,
     if em_iters < 1:
         raise ValueError("unigram_lm_train needs em_iters >= 1")
 
-    def wc_partial(b: pd.DataFrame) -> pd.DataFrame:
-        vc = (b[text_col].fillna("").str.split().explode().dropna()
-              .value_counts())
-        out = pd.DataFrame({"word": vc.index.to_numpy(object),
-                            "c": vc.to_numpy(np.int64)})
-        out = out[out["word"].str.len() > 0]
-        out["_part"] = (hashing.hash_strings(out["word"].to_numpy(object))
-                        % np.uint64(parts)).astype(np.int64)
-        return out
+    words = word_counts(ds, text_col).materialize()
 
-    def wc_final(g: pd.DataFrame) -> pd.DataFrame:
-        vc = g.groupby("word", sort=False)["c"].sum()
-        return pd.DataFrame({"word": vc.index.to_numpy(object),
-                             "c": vc.to_numpy(np.int64)})
-
-    words = (ds.map_batches(wc_partial, batch_format="pandas",
-                            batch_size=65536)
-               .groupby("_part").map_groups(wc_final,
-                                            batch_format="pandas")
-               .materialize())
-
-    # ---- seed: char + substring counts, piece-hash shuffle, exact topK
+    # ---- seed: char + substring counts, piece-keyed exchange, exact topK
     def sub_partial(b: pd.DataFrame) -> pd.DataFrame:
         rows: dict = {}
         for w, c in zip(b["word"], b["c"]):
@@ -1911,12 +1798,9 @@ def unigram_lm_train(ds: rd.Dataset, vocab_size: int = 400,
                 for l in range(1, min(max_piece_len, n - i) + 1):
                     p = w[i:i + l]
                     rows[p] = rows.get(p, 0) + c
-        out = pd.DataFrame({"piece": list(rows.keys()),
-                            "pc": pd.Series(list(rows.values()),
-                                            dtype="int64")})
-        out["_p2"] = (hashing.hash_strings(out["piece"].to_numpy(object))
-                      % np.uint64(parts)).astype(np.int64)
-        return out
+        return pd.DataFrame({"piece": list(rows.keys()),
+                             "pc": pd.Series(list(rows.values()),
+                                             dtype="int64")})
 
     def sub_top(g: pd.DataFrame) -> pd.DataFrame:
         s = (g.groupby("piece", sort=False, as_index=False)["pc"].sum())
@@ -1927,10 +1811,10 @@ def unigram_lm_train(ds: rd.Dataset, vocab_size: int = 400,
         return s.head(int(s["is_char"].sum()) + seed_keep)[
             ["piece", "pc", "is_char"]]
 
-    cand = (words.map_batches(sub_partial, batch_format="pandas",
-                              batch_size=8192)
-            .groupby("_p2").map_groups(sub_top, batch_format="pandas")
-            .to_pandas())
+    cand = partition_map(
+        words.map_batches(sub_partial, batch_format="pandas",
+                          batch_size=8192),
+        "piece", sub_top).to_pandas()
     chars = cand[cand["is_char"]]
     multi = (cand[~cand["is_char"]]
              .sort_values(["pc", "piece"], ascending=[False, True])
@@ -2028,8 +1912,8 @@ def unigram_lm_apply(ds: rd.Dataset, pieces: pd.DataFrame,
     return ds.map_batches(enc, batch_format="pandas", batch_size=8192)
 
 
-def cooccurrence(ds: rd.Dataset, window: int = 3, k: int = 50,
-                 num_partitions: int = 16) -> pd.DataFrame:
+def cooccurrence(ds: rd.Dataset, window: int = 3, k: int = 50
+                 ) -> pd.DataFrame:
     """Windowed word co-occurrence counts (the GloVe / word2vec
     statistics-gathering pass): for every ordered token pair at
     distance 1..window inside a doc, count the UNORDERED canonical
@@ -2040,21 +1924,19 @@ def cooccurrence(ds: rd.Dataset, window: int = 3, k: int = 50,
     Distributed shape: pair generation is vectorized per batch (one
     shifted-array compare per offset, doc boundaries masked on the
     flattened token stream), partials combine per batch BEFORE the one
-    pair-hash shuffle; each pair key is fully aggregated inside its
-    partition, so per-partition top-k is exact and the driver merges
-    only num_partitions x k rows."""
-    from ..functions.hashing import hash_strings
+    pair-keyed ``partition_map``; each pair key is fully aggregated
+    inside its partition, so per-partition top-k is exact and the
+    driver merges only k rows per partition."""
+    empty = pd.DataFrame({"wa": pd.Series([], dtype=object),
+                          "wb": pd.Series([], dtype=object),
+                          "n": pd.Series([], dtype="int64")})
 
     def pair_part(b: pd.DataFrame) -> pd.DataFrame:
         texts = [(t or "").split() for t in b["text"]]
         lens = np.array([len(t) for t in texts], dtype="int64")
         total = int(lens.sum())
         if total == 0:
-            return pd.DataFrame({
-                "wa": pd.Series([], dtype=object),
-                "wb": pd.Series([], dtype=object),
-                "n": pd.Series([], dtype="int64"),
-                "_p": pd.Series([], dtype="int64")})
+            return empty
         words = np.concatenate([np.asarray(t, dtype=object)
                                 for t in texts])
         ids = np.repeat(np.arange(len(texts), dtype=np.int64), lens)
@@ -2070,19 +1952,12 @@ def cooccurrence(ds: rd.Dataset, window: int = 3, k: int = 50,
             was.append(lo)
             wbs.append(hi)
         if not was:
-            return pd.DataFrame({
-                "wa": pd.Series([], dtype=object),
-                "wb": pd.Series([], dtype=object),
-                "n": pd.Series([], dtype="int64"),
-                "_p": pd.Series([], dtype="int64")})
+            return empty
         g = (pd.DataFrame({"wa": np.concatenate(was),
                            "wb": np.concatenate(wbs)})
              .groupby(["wa", "wb"], as_index=False, sort=False)
              .size().rename(columns={"size": "n"}))
         g["n"] = g["n"].astype("int64")
-        key = (g["wa"] + "\x1f" + g["wb"]).to_numpy(object)
-        g["_p"] = (hash_strings(key)
-                   % np.uint64(num_partitions)).astype("int64")
         return g
 
     def topk_part(g: pd.DataFrame) -> pd.DataFrame:
@@ -2091,13 +1966,10 @@ def cooccurrence(ds: rd.Dataset, window: int = 3, k: int = 50,
         return (s.sort_values(["n", "wa", "wb"],
                               ascending=[False, True, True]).head(k))
 
-    parts = (ds.map_batches(pair_part, batch_format="pandas")
-             .groupby("_p").map_groups(topk_part, batch_format="pandas")
-             .to_pandas())
+    parts = partition_map(ds.map_batches(pair_part, batch_format="pandas"),
+                          ["wa", "wb"], topk_part).to_pandas()
     if "wa" not in parts.columns or not len(parts):
-        return pd.DataFrame({"wa": pd.Series([], dtype=object),
-                             "wb": pd.Series([], dtype=object),
-                             "n": pd.Series([], dtype="int64")})
+        return empty
     return (parts.sort_values(["n", "wa", "wb"],
                               ascending=[False, True, True]).head(k)
             [["wa", "wb", "n"]].reset_index(drop=True))
@@ -2270,8 +2142,7 @@ def boost_quality(ds: rd.Dataset, train_mod: int = 5, rounds: int = 8
 
 
 def search_trigram_index_multi(index_dir: str, needles: list[str],
-                               docs: rd.Dataset,
-                               num_partitions: int = 8) -> pd.DataFrame:
+                               docs: rd.Dataset) -> pd.DataFrame:
     """Batched substring search: ONE index probe + ONE verify pass
     serves every needle (the multi-query serving shape — per-needle
     passes would multiply bucket reads). Per needle the AND-semantics
@@ -2284,8 +2155,6 @@ def search_trigram_index_multi(index_dir: str, needles: list[str],
 
     import pyarrow as pa
     import ray
-
-    from .relational import bucket_join, keyed_combine
 
     needles = sorted(set(needles))
     codes = {n: _trigram_codes(n) for n in needles}
@@ -2350,8 +2219,7 @@ def search_trigram_index_multi(index_dir: str, needles: list[str],
 
     posts = rd.read_parquet(files, columns=["tri", "doc_id"]).map_batches(
         prune, batch_format="pyarrow", batch_size=65536)
-    cand = keyed_combine(posts, ["doc_id", "nid"], ["hits"], "sum",
-                         num_partitions)
+    cand = keyed_combine(posts, ["doc_id", "nid"], ["hits"])
     nc_ref = ray.put(need_counts)
 
     def full(b: pd.DataFrame) -> pd.DataFrame:
@@ -2365,7 +2233,7 @@ def search_trigram_index_multi(index_dir: str, needles: list[str],
                              ("hits", pa.int64())])
     doc_schema = pa.schema([("doc_id", pa.int64()), ("text", pa.string())])
     j = bucket_join(cand, docs.select_columns(["doc_id", "text"]),
-                    "doc_id", "doc_id", num_partitions=num_partitions,
+                    "doc_id", "doc_id",
                     left_schema=cand_schema, right_schema=doc_schema)
     needles_ref = ray.put(list(needles))
 
@@ -2434,8 +2302,6 @@ def isotonic_calibration(ds: rd.Dataset, train_mod: int = 5,
     the isotonic rate (permille, monotone by construction). Rows-only
     (iterative model + PAV); monotonicity / mass-preservation /
     serial-parity pinned in tests."""
-    from .relational import keyed_combine
-
     feat = lr_features(ds)
 
     def split(b: pd.DataFrame, keep_train: bool) -> pd.DataFrame:
@@ -2459,8 +2325,8 @@ def isotonic_calibration(ds: rd.Dataset, train_mod: int = 5,
             "p_micro": (p * 1_000_000).astype(np.int64)})
 
     agg = keyed_combine(scored.map_batches(binned, batch_format="pandas"),
-                        "bin", ["n", "pos", "p_micro"], "sum",
-                        8).to_pandas().sort_values("bin")
+                        "bin", ["n", "pos", "p_micro"]
+                        ).to_pandas().sort_values("bin")
     full = pd.DataFrame({"bin": np.arange(bins, dtype=np.int64)})
     agg = full.merge(agg, on="bin", how="left").fillna(0)
     n = agg["n"].to_numpy(np.int64)

@@ -14,10 +14,10 @@ deterministic (first occurrence of a colliding band wins, in row
 order); across CONCURRENT batches a racing near-dup pair can both admit
 (the probe/register gap).  ``filter_new_wave`` is the ORDER-FREE wave
 mode for checkpointed ingest: probe-only pass, then one metadata-scale
-band shuffle electing the minimal id per band, then registration — the
-admission set depends only on wave content, never on block layout or
-scheduling.  Same quiesce-then-save snapshot contract as the exact
-index.
+band-keyed exchange electing the minimal id per band, then
+registration — the admission set depends only on wave content, never
+on block layout or scheduling.  Same quiesce-then-save snapshot
+contract as the exact index.
 
 Scale: per-shard state ~40 B/band; num_perm/num_bands tune the Jaccard
 threshold exactly as in the batch pipeline.
@@ -127,8 +127,7 @@ class NearDupIndex:
         return self.filter_new(ds, text_col).count()
 
     def filter_new_wave(self, ds: rd.Dataset, id_col: str = "doc_id",
-                        text_col: str = "text", num_buckets: int = 64
-                        ) -> rd.Dataset:
+                        text_col: str = "text") -> rd.Dataset:
         """DETERMINISTIC (order-free) wave ingest — the checkpointed-batch
         counterpart of ``filter_new``.  ``filter_new``'s per-batch
         probe/register gap makes admissions inside ONE wave depend on
@@ -138,9 +137,10 @@ class NearDupIndex:
 
         1. probe-only (no registration, so no race): rows band-colliding
            with anything already ADMITTED drop;
-        2. in-wave resolution on one metadata-scale (id, band) shuffle:
-           each (band_pos, band_key) elects its minimal surviving id as
-           owner, and a row admits iff it owns EVERY one of its bands.
+        2. in-wave resolution on one metadata-scale ``partition_map``
+           keyed on (band_pos, band_key): each band elects its minimal
+           surviving id as owner, and one id-keyed ``partition_map``
+           admits a row iff it owns EVERY one of its bands.
            The minimal id of any collision cluster owns all its bands,
            so every cluster admits exactly its least representative;
            non-owners share a band with a lower id (on collision CHAINS
@@ -151,12 +151,11 @@ class NearDupIndex:
         3. admitted rows' bands register; admitted rows return via a
            semi bucket_join (corpus-scale rows never visit the driver).
         """
-        from ..pipelines.relational import bucket_join
+        from ..pipelines.relational import bucket_join, partition_map
 
         shards = self.shards
         nb = self.num_bands
         band_keys = self._band_keys
-        mult = np.uint64(0x9E3779B97F4A7C15)
 
         def probe_explode(batch: pd.DataFrame) -> pd.DataFrame:
             bands = band_keys(batch[text_col].to_numpy(dtype=object))
@@ -167,38 +166,25 @@ class NearDupIndex:
                 seen[:, i] = mask
             keep = ~seen.any(axis=1)
             ids = batch[id_col].to_numpy()[keep]
-            bk = bands[keep]
-            n = int(keep.sum())
-            pos = np.tile(np.arange(nb, dtype=np.int64), n)
-            key = bk.reshape(-1)
-            with np.errstate(over="ignore"):
-                part = ((key * mult + pos.astype(np.uint64))
-                        % np.uint64(num_buckets)).astype(np.int64)
-            return pd.DataFrame({id_col: np.repeat(ids, nb),
-                                 "pos": pos, "key": key, "_part": part})
+            return pd.DataFrame({
+                id_col: np.repeat(ids, nb),
+                "pos": np.tile(np.arange(nb, dtype=np.int64), len(ids)),
+                "key": bands[keep].reshape(-1)})
 
         exploded = ds.map_batches(probe_explode, batch_format="pandas",
                                   batch_size=8192)
 
         def owners(g: pd.DataFrame) -> pd.DataFrame:
-            if len(g) == 0:
-                return pd.DataFrame({id_col: [], "pos": [], "key": [],
-                                     "owns": [], "_dpart": []})
             win = (g.sort_values(id_col)
                     .drop_duplicates(["pos", "key"])
                     .rename(columns={id_col: "_win"}))
             out = g.merge(win[["pos", "key", "_win"]], on=["pos", "key"])
             out["owns"] = (out[id_col] == out["_win"]).astype(np.int64)
-            out["_dpart"] = (pd.util.hash_array(
-                out[id_col].to_numpy(object)) % num_buckets).astype(np.int64)
-            return out[[id_col, "pos", "key", "owns", "_dpart"]]
+            return out[[id_col, "pos", "key", "owns"]]
 
-        owned = exploded.groupby("_part").map_groups(
-            owners, batch_format="pandas")
+        owned = partition_map(exploded, ["pos", "key"], owners)
 
         def admit(g: pd.DataFrame) -> pd.DataFrame:
-            if len(g) == 0:
-                return pd.DataFrame({id_col: []})
             s = g.groupby(id_col, sort=False)["owns"].transform("min")
             win = g[s == 1]
             if len(win):
@@ -213,8 +199,7 @@ class NearDupIndex:
 
         # materialize forces phase 2/3 to complete (registration happens
         # exactly once per wave, even if the caller consumes lazily/twice)
-        admitted = (owned.groupby("_dpart")
-                    .map_groups(admit, batch_format="pandas").materialize())
+        admitted = partition_map(owned, id_col, admit).materialize()
         return bucket_join(ds, admitted, id_col, id_col, how="semi")
 
     def count_new_wave(self, ds: rd.Dataset, id_col: str = "doc_id",
