@@ -27,8 +27,6 @@ partition count is partition_map's (``tuning.suggested_partitions()``):
 
 from __future__ import annotations
 
-import time as _time
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -1427,38 +1425,40 @@ def run_dedup_with_checkpoint(
     docs_path: str,
     out_root: str,
     num_fragments: int = 16,
-    text_col: str = "text",
-    id_col: str = "doc_id",
     max_broadcast: int = _DUP_BROADCAST_MAX,
     bloom_bits: "int | None" = None,
 ) -> dict:
-    """Resumable corpus-wide exact dedup as a `ray job submit` target
-    (same fragment/manifest store as the OCR and extraction flagships),
-    in the 100 TB shape — TWO corpus scans total, not one per fragment:
+    """Resumable corpus-wide exact dedup of ``text`` (keeping the min
+    ``doc_id`` per text) as a `ray job submit` target, on the same
+    fragment plan and loop as the OCR and extraction flagships
+    (``checkpoint.fragment_plan``, pinned once under ``out_root`` for
+    both resumable phases; ``checkpoint.run_fragments``), in the 100 TB
+    shape — TWO corpus scans total, not one per fragment:
 
-    Phase 1 (resumable per INPUT-FILE fragment): project each row to
-    (content_hash: uint64, doc_id) and commit a tiny index parquet per
-    fragment — a column-pruned 1/F-of-corpus scan each, one full scan
-    total.
-    Phase 2 (atomic): shuffle ONLY the index by hash bucket and keep,
-    per duplicated hash, the min doc_id — the dup map is dup-scale, far
-    below corpus scale at real dup rates. Tmp-write + rename.
-    Phase 3 (resumable per input-file fragment): re-read each fragment's
-    rows, probe the broadcast dup map (sorted-array searchsorted), and
-    write the survivors — a row survives iff its hash is not duplicated
-    or it owns the min doc_id. Second (and last) full scan.
+    Phase 1 (resumable per fragment, under ``index/``): project each
+    row to (content_hash: uint64, doc_id) and commit a tiny index
+    parquet per fragment — a column-pruned 1/F-of-corpus scan each, one
+    full scan total.
+    Phase 2 (atomic, ``dupmap/``): shuffle ONLY the index by hash bucket
+    and keep, per duplicated hash, the min doc_id — the dup map is
+    dup-scale, far below corpus scale at real dup rates. Written
+    through ``checkpoint.write_dir``'s tmp + swap.
+    Phase 3 (resumable per fragment, under ``output/``): re-read each
+    fragment's rows, probe the broadcast dup map (sorted-array
+    searchsorted), and write the survivors — a row survives iff its hash
+    is not duplicated or it owns the min doc_id. Second (and last) full
+    scan.
 
-    A single-file input can't be split by file, so it falls back to
-    content-hash ROW fragments (one pruned scan per fragment — fine at
-    test scale, and the docstring contract is per-FILE at corpus scale,
-    where inputs are always many files). Equality is by 64-bit content
-    hash in this path (the in-memory exact_dedup compares the actual
-    texts); at 10^12 rows swap in a 128-bit double hash — birthday
-    collisions at 64 bits become material around 2^32 distinct texts.
-    Counters: rows_in / rows_kept per output manifest."""
+    Fragments are input FILE GROUPS for a multi-file directory, doc-id
+    hash filters for a single file (one pruned scan per fragment — fine
+    at test scale). Equality is by 64-bit content hash in this path
+    (the in-memory exact_dedup compares the actual texts); at 10^12 rows
+    swap in a 128-bit double hash — birthday collisions at 64 bits
+    become material around 2^32 distinct texts.
+    Counters: rows_in (the fragment's phase-1 index rows) / rows_kept
+    per output manifest."""
     import glob as _glob
     import os
-    import shutil
 
     import pyarrow.parquet as pq
 
@@ -1466,62 +1466,20 @@ def run_dedup_with_checkpoint(
     from ..tuning import configure_data_context, parquet_schema
 
     configure_data_context()
-    os.makedirs(out_root, exist_ok=True)
-    if os.path.isdir(docs_path):
-        files = sorted(_glob.glob(os.path.join(docs_path, "**", "*.parquet"),
-                                  recursive=True))
-    else:
-        files = [docs_path]
-    by_file = len(files) > 1
-    nfrag = min(num_fragments, len(files)) if by_file else num_fragments
-    groups = ([files[i::nfrag] for i in range(nfrag)] if by_file else None)
-
-    def _frag_rows(frag: int, columns: list) -> rd.Dataset:
-        """The fragment's rows: its file group (scale path) or a
-        content-hash row filter over the whole input (single-file
-        fallback)."""
-        if by_file:
-            return rd.read_parquet(groups[frag], columns=columns,
-                                   schema=parquet_schema(groups[frag][0],
-                                                         columns))
-        ds = rd.read_parquet(docs_path, columns=columns,
-                             schema=parquet_schema(docs_path, columns))
-
-        def only(b: pd.DataFrame, _f=frag) -> pd.DataFrame:
-            # fragment membership is keyed on CONTENT hash (works for
-            # any projection that includes text_col)
-            h = hashing.hash_strings(b[text_col].to_numpy(dtype=object))
-            return b[(h % np.uint64(nfrag)).astype(np.int64) == _f]
-
-        return ds.map_batches(only, batch_format="pandas",
-                              batch_size=65536)
-
-    def _commit_dir(ds_out: rd.Dataset, frag_dir: str) -> int:
-        tmp_dir = frag_dir + ".tmp"
-        shutil.rmtree(tmp_dir, ignore_errors=True)  # stale partial write
-        os.makedirs(tmp_dir)  # an EMPTY dataset writes no files at all
-        ds_out.write_parquet(tmp_dir)
-        if os.path.exists(frag_dir):
-            shutil.rmtree(frag_dir)
-        os.replace(tmp_dir, frag_dir)
-        return sum(pq.read_metadata(os.path.join(frag_dir, f)).num_rows
-                   for f in os.listdir(frag_dir) if f.endswith(".parquet"))
+    nfrag, frag_rows = ckpt.fragment_plan(docs_path, num_fragments, out_root)
 
     # ---------------- phase 1: per-fragment (hash, id) index
+    def project(b: pd.DataFrame) -> pd.DataFrame:
+        h = hashing.hash_strings(b["text"].to_numpy(dtype=object))
+        return pd.DataFrame({"h": h.astype(np.uint64),
+                             "doc_id": b["doc_id"].to_numpy()})
+
     idx_root = os.path.join(out_root, "index")
-    os.makedirs(idx_root, exist_ok=True)
-    for frag in ckpt.pending_fragments(idx_root, nfrag):
-        rows = _frag_rows(frag, [id_col, text_col])
-
-        def project(b: pd.DataFrame) -> pd.DataFrame:
-            h = hashing.hash_strings(b[text_col].to_numpy(dtype=object))
-            return pd.DataFrame({"h": h.astype(np.uint64),
-                                 id_col: b[id_col].to_numpy()})
-
-        idx = rows.map_batches(project, batch_format="pandas",
-                               batch_size=65536)
-        n = _commit_dir(idx, ckpt.fragment_dir(idx_root, frag))
-        ckpt.commit_fragment(idx_root, frag, {"rows_indexed": int(n)})
+    ckpt.run_fragments(
+        idx_root, nfrag,
+        lambda frag: frag_rows(frag, ["doc_id", "text"]).map_batches(
+            project, batch_format="pandas", batch_size=65536),
+        lambda _, t: {"rows_indexed": t.num_rows})
 
     # ---------------- phase 2: dup map (hash -> min id), atomic
     dup_dir = os.path.join(out_root, "dupmap")
@@ -1531,12 +1489,12 @@ def run_dedup_with_checkpoint(
         idx_ds = rd.read_parquet(idx_files)
 
         def dups(g: pd.DataFrame) -> pd.DataFrame:
-            agg = g.groupby("h", sort=False)[id_col].agg(["min", "size"])
+            agg = g.groupby("h", sort=False)["doc_id"].agg(["min", "size"])
             d = agg[agg["size"] > 1]
             return pd.DataFrame({"h": d.index.to_numpy(np.uint64),
                                  "keep_id": d["min"].to_numpy()})
 
-        _commit_dir(partition_map(idx_ds, "h", dups), dup_dir)
+        ckpt.write_dir(partition_map(idx_ds, "h", dups), dup_dir)
 
     # ---------------- phase 3: filtered output per fragment
     # Below max_broadcast dup rows: broadcast (sorted hashes, keep ids)
@@ -1569,80 +1527,66 @@ def run_dedup_with_checkpoint(
         dup_ds = rd.read_parquet(dup_files)
         bits = _bloom_over(dup_ds, "h", bloom_bits)
         dref = _ray.put(bits)
-        in_schema = parquet_schema(
-            files[0] if by_file else docs_path, None)
+        in_schema = parquet_schema(docs_path)
         dup_schema = pq.read_schema(dup_files[0])
         # the join suffixes right columns colliding with input names
         kname = ("keep_id_r" if "keep_id" in in_schema.names
                  else "keep_id")
 
-    out_data_root = os.path.join(out_root, "output")
-    os.makedirs(out_data_root, exist_ok=True)
-    ran = ckpt.pending_fragments(out_data_root, nfrag)
-    for frag in ran:
-        frag_t0 = _time.time()
-        rows = _frag_rows(frag, None)
-        rows_in = rows.count()
+    def survivors(b: pd.DataFrame) -> pd.DataFrame:
+        hs, keeps = _ray.get(dref)
+        if len(hs) == 0:
+            return b
+        h = hashing.hash_strings(
+            b["text"].to_numpy(dtype=object)).astype(np.uint64)
+        pos = np.minimum(np.searchsorted(hs, h), len(hs) - 1)
+        dup_hit = hs[pos] == h
+        keep = ~dup_hit | (keeps[pos] == b["doc_id"].to_numpy())
+        return b[keep]
 
-        def survivors(b: pd.DataFrame) -> pd.DataFrame:
-            hs, keeps = _ray.get(dref)
-            if len(hs) == 0:
-                return b
-            h = hashing.hash_strings(
-                b[text_col].to_numpy(dtype=object)).astype(np.uint64)
-            pos = np.minimum(np.searchsorted(hs, h), len(hs) - 1)
-            dup_hit = hs[pos] == h
-            keep = ~dup_hit | (keeps[pos] == b[id_col].to_numpy())
-            return b[keep]
+    def bloom_miss(b: pd.DataFrame) -> pd.DataFrame:
+        bts = _ray.get(dref)
+        h = hashing.hash_strings(
+            b["text"].to_numpy(dtype=object)).astype(np.uint64)
+        return b[~hashing.bloom_contains_u64(bts, h, bloom_bits)]
 
-        def bloom_miss(b: pd.DataFrame) -> pd.DataFrame:
-            bts = _ray.get(dref)
-            h = hashing.hash_strings(
-                b[text_col].to_numpy(dtype=object)).astype(np.uint64)
-            return b[~hashing.bloom_contains_u64(bts, h, bloom_bits)]
+    def bloom_hit(b: pd.DataFrame) -> pd.DataFrame:
+        bts = _ray.get(dref)
+        h = hashing.hash_strings(
+            b["text"].to_numpy(dtype=object)).astype(np.uint64)
+        m = hashing.bloom_contains_u64(bts, h, bloom_bits)
+        out = b[m].copy()
+        out["_dup_h"] = h[m]
+        return out
 
-        def bloom_hit(b: pd.DataFrame) -> pd.DataFrame:
-            bts = _ray.get(dref)
-            h = hashing.hash_strings(
-                b[text_col].to_numpy(dtype=object)).astype(np.uint64)
-            m = hashing.bloom_contains_u64(bts, h, bloom_bits)
-            out = b[m].copy()
-            out["_dup_h"] = h[m]
-            return out
+    def fp_or_keeper(b: pd.DataFrame) -> pd.DataFrame:
+        keep = (b[kname].isna().to_numpy()
+                | (b[kname] == b["doc_id"]).to_numpy())
+        return b[keep][[f.name for f in in_schema]]
 
+    def output(frag: int) -> rd.Dataset:
+        rows = frag_rows(frag)
         if not use_bloom:
-            out = rows.map_batches(survivors, batch_format="pandas",
-                                   batch_size=65536)
-        else:
-            clean = rows.map_batches(bloom_miss, batch_format="pandas",
-                                     batch_size=65536)
-            cand = rows.map_batches(bloom_hit, batch_format="pandas",
+            return rows.map_batches(survivors, batch_format="pandas",
                                     batch_size=65536)
-            lschema = pa.schema(
-                list(in_schema) + [pa.field("_dup_h", pa.uint64())])
-            resolved = bucket_join(
-                cand, rd.read_parquet(dup_files), "_dup_h", "h",
-                suffix="_r", how="left", left_schema=lschema,
-                right_schema=dup_schema)
+        clean = rows.map_batches(bloom_miss, batch_format="pandas",
+                                 batch_size=65536)
+        cand = rows.map_batches(bloom_hit, batch_format="pandas",
+                                batch_size=65536)
+        lschema = pa.schema(
+            list(in_schema) + [pa.field("_dup_h", pa.uint64())])
+        resolved = bucket_join(
+            cand, rd.read_parquet(dup_files), "_dup_h", "h",
+            suffix="_r", how="left", left_schema=lschema,
+            right_schema=dup_schema)
+        return clean.union(resolved.map_batches(
+            fp_or_keeper, batch_format="pandas", batch_size=65536))
 
-            def fp_or_keeper(b: pd.DataFrame) -> pd.DataFrame:
-                keep = (b[kname].isna().to_numpy()
-                        | (b[kname] == b[id_col]).to_numpy())
-                return b[keep][[f.name for f in in_schema]]
-
-            out = clean.union(resolved.map_batches(
-                fp_or_keeper, batch_format="pandas", batch_size=65536))
-        n = _commit_dir(out, ckpt.fragment_dir(out_data_root, frag))
-        wall = _time.time() - frag_t0
-        ckpt.commit_fragment(out_data_root, frag, {
-            "rows_in": int(rows_in), "rows_kept": int(n)}, metrics={
-            "wall_sec": round(wall, 3),
-            "rows_per_sec": round(rows_in / wall, 3) if wall > 0 else None,
-        })
-    return {
-        "fragments_run": ran,
-        "counters": ckpt.aggregate_counters(out_data_root),
-    }
+    rows_in = {m["fragment"]: m["counters"]["rows_indexed"]
+               for m in ckpt.read_manifests(idx_root)}
+    return ckpt.run_fragments(
+        os.path.join(out_root, "output"), nfrag, output,
+        lambda frag, t: {"rows_in": rows_in[frag], "rows_kept": t.num_rows})
 
 
 def minhash_recall(

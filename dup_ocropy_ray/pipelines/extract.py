@@ -16,7 +16,7 @@ dropped and ``extract_stage`` consumes the raw HTML column directly.
 
 from __future__ import annotations
 
-import time as _time
+from collections import Counter
 
 import pandas as pd
 
@@ -271,6 +271,8 @@ def pdf_extract_docs(ds: rd.Dataset, batch_size: int = 256) -> rd.Dataset:
 # ---------------------------------------------- interleaved-spans surface
 
 
+# Docs per batch of the interleaved-spans extraction stage.
+EXTRACT_BATCH_SIZE = 128
 _SPAN_TYPE = None
 
 
@@ -321,81 +323,43 @@ def extract_interleaved_stage(batch: "pa.Table") -> "pa.Table":
     })
 
 
-def extract_interleaved(docs: rd.Dataset, batch_size: int = 128) -> rd.Dataset:
+def extract_interleaved(docs: rd.Dataset) -> rd.Dataset:
     """Interleaved text+media docs -> same shape with html spans
     replaced by extracted main-content span sequences (the HTML
     counterpart of pipelines/ocr.py's flagship, minus the media store:
     markup travels inline)."""
     return docs.map_batches(extract_interleaved_stage,
-                            batch_format="pyarrow", batch_size=batch_size)
+                            batch_format="pyarrow",
+                            batch_size=EXTRACT_BATCH_SIZE)
 
 
 # ---------------------------------------------------- resumable runner
+
+
+def _span_counters(_frag: int, t: "pa.Table") -> dict:
+    kinds = Counter(s["kind"] for ss in t["spans"].to_pylist() for s in ss)
+    return {"docs": t.num_rows, "text_spans": kinds["text"],
+            "media_spans": kinds["media"]}
 
 
 def run_extract_with_checkpoint(
     docs_path: str,
     out_root: str,
     num_fragments: int = 4,
-    batch_size: int = 128,
 ) -> dict:
     """Resumable interleaved-extraction run (north-rule checkpoint
     contract, same fragment store as the OCR flagship): docs fragment
-    per input FILE GROUP when the input is a multi-file directory (each
-    file read once across the job; doc-id-hash filter fallback for
-    single files — see ocr.fragment_plan); each pending fragment runs
-    extract_interleaved, writes parquet to <frag>.tmp, then commits a
-    lineage+counter manifest atomically. A killed run reprocesses at
-    most one in-flight fragment."""
-    import os
-    import shutil
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
+    by ``checkpoint.fragment_plan`` (input FILE GROUPS for a multi-file
+    directory, doc-id hash filters for a single file), and
+    ``checkpoint.run_fragments`` runs extract_interleaved on each
+    pending fragment and commits a lineage+counter manifest. A killed
+    run reprocesses at most one in-flight fragment."""
     from ..state import checkpoint as ckpt
-    from .ocr import fragment_plan
 
-    os.makedirs(out_root, exist_ok=True)
-    num_fragments, frag_reader = fragment_plan(docs_path, num_fragments,
-                                               out_root=out_root)
-    pending = ckpt.pending_fragments(out_root, num_fragments)
-    for frag in pending:
-        frag_t0 = _time.time()
-        docs = frag_reader(frag)
-        out = extract_interleaved(docs, batch_size=batch_size)
-        frag_dir = ckpt.fragment_dir(out_root, frag)
-        tmp_dir = frag_dir + ".tmp"
-        shutil.rmtree(tmp_dir, ignore_errors=True)  # stale partial write
-        out.write_parquet(tmp_dir)
-        if os.path.exists(frag_dir):
-            shutil.rmtree(frag_dir)
-        os.replace(tmp_dir, frag_dir)
-        n_docs = n_text = n_media = 0
-        for f in os.listdir(frag_dir):
-            if not f.endswith(".parquet"):
-                continue
-            t = pq.read_table(os.path.join(frag_dir, f), columns=["spans"])
-            n_docs += t.num_rows
-            for ss in t.column("spans").to_pylist():
-                for s in ss:
-                    if s["kind"] == "text":
-                        n_text += 1
-                    elif s["kind"] == "media":
-                        n_media += 1
-        wall = _time.time() - frag_t0
-        ckpt.commit_fragment(out_root, frag, {
-            "docs": n_docs,
-            "text_spans": n_text,
-            "media_spans": n_media,
-        }, metrics={
-            "wall_sec": round(wall, 3),
-            "docs_per_sec": round(n_docs / wall, 3) if wall > 0 else None,
-        })
-    return {
-        "fragments_run": pending,
-        "counters": ckpt.aggregate_counters(out_root),
-    }
+    nfrag, reader = ckpt.fragment_plan(docs_path, num_fragments, out_root)
+    return ckpt.run_fragments(
+        out_root, nfrag, lambda frag: extract_interleaved(reader(frag)),
+        _span_counters, columns=("spans",))
 
 
 # ------------------------------------------------- extraction -> OCR

@@ -27,11 +27,8 @@ page's lines over the recognizer batches.
 
 from __future__ import annotations
 
-import os
-import time
-
 import pyarrow as pa
-import pyarrow.parquet as pq
+import pyarrow.compute as pc
 
 import ray
 import ray.data as rd
@@ -68,8 +65,6 @@ def explode_media_spans(batch: pa.Table) -> pa.Table:
     """docs -> page rows (doc_id, media_ref, span_offset). Pure Arrow
     kernels: list_flatten + list_parent_indices + a kind filter — no
     Python per span."""
-    import pyarrow.compute as pc
-
     spans = batch.column("spans")
     if isinstance(spans, pa.ChunkedArray):
         spans = spans.combine_chunks()
@@ -270,143 +265,17 @@ def dewarp_line_stats(docs: rd.Dataset, media_store_ref) -> rd.Dataset:
     return lines.map_batches(dewarp, batch_format="pyarrow")
 
 
-def _doc_fragment_filter(num_fragments: int, frag: int):
-    import pandas as pd
-
-    def fn(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        h = pd.util.hash_array(__import__("numpy").asarray(ids, dtype=object))
-        keep = (h % num_fragments) == frag
-        return batch.filter(pa.array(keep))
-
-    return fn
+# counter -> the per-doc output column it sums (``docs`` counts rows)
+_OCR_COUNTERS = {"pages": "n_pages", "lines_segmented": "n_lines",
+                 "skipped_pages": "n_skipped_pages",
+                 "chars_decoded": "chars_decoded",
+                 "low_confidence_lines": "low_confidence_lines"}
 
 
-def _lpt_groups(files: list[str], nfrag: int) -> list[list[str]]:
-    """Size-aware fragment grouping — greedy LPT (longest processing
-    time) bin packing on file byte sizes, so a skewed input directory
-    (one 10 GiB file among 4 GiB siblings) doesn't hand one fragment
-    3x the work of the others the way round-robin `files[i::n]` can.
-    Deterministic: ties break on (size desc, path), bins on (load,
-    index); groups and their members come out sorted for stable plan
-    files."""
-    # floor each size at 1 byte: zero-byte files would otherwise never
-    # raise a bin's load, piling into bin 0 and leaving other bins EMPTY
-    # (reader(frag) indexes groups[frag][0]); with positive sizes the
-    # first nfrag placements land in distinct bins, so no group is empty
-    sizes = [(max(os.path.getsize(p), 1), p) for p in files]
-    sizes.sort(key=lambda t: (-t[0], t[1]))
-    loads = [0] * nfrag
-    groups: list[list[str]] = [[] for _ in range(nfrag)]
-    for sz, p in sizes:
-        i = min(range(nfrag), key=lambda j: (loads[j], j))
-        loads[i] += sz
-        groups[i].append(p)
-    return [sorted(g) for g in groups]
-
-
-def fragment_plan(docs_path: str, num_fragments: int,
-                  out_root: str | None = None):
-    """Checkpoint fragmentation plan shared by the OCR / extraction /
-    dedup jobs: returns (nfrag, reader) where reader(frag) yields that
-    fragment's docs Dataset.
-
-    Scale path — the input is a directory of many parquet files (the
-    100 TB shape): fragments are FILE GROUPS, so running all fragments
-    reads each input file exactly once (1/F of the corpus per fragment),
-    instead of N full-corpus scans with a hash filter (the dedup job's
-    two-scan pattern, dedup.run_dedup_with_checkpoint). The file list
-    is PINNED in ``<out_root>/_plan.json`` on the first run: a resume
-    re-reads the recorded groups, so files that appear in (or vanish
-    from) the input directory between runs cannot silently reassign
-    docs across already-committed fragments — new files need a new
-    out_root (or a completed job rerun).
-
-    Fallback — a single file (or jsonl/lance path): per-fragment
-    doc-id-hash filter scans; fine at test scale, and corpus-scale
-    inputs are always many files."""
-    import glob as _glob
-    import json
-
-    from ..tuning import configure_data_context, parquet_schema
-
-    files = (sorted(_glob.glob(os.path.join(docs_path, "**", "*.parquet"),
-                               recursive=True))
-             if os.path.isdir(docs_path) and not docs_path.endswith(".lance")
-             else [])
-    plan_path = (os.path.join(out_root, "_plan.json") if out_root else None)
-    if len(files) > 1:
-        if plan_path and os.path.exists(plan_path):
-            with open(plan_path) as f:
-                plan = json.load(f)
-            if plan.get("mode", "file_groups") != "file_groups":
-                raise RuntimeError(
-                    f"checkpoint at {out_root} was fragmented by "
-                    f"{plan.get('mode')!r}, not file groups — its committed "
-                    f"manifests don't map to file-group fragments; use a "
-                    f"fresh out_root")
-            groups = plan["groups"]
-            nfrag = len(groups)
-            missing = [p for g in groups for p in g if not os.path.exists(p)]
-            if missing:
-                raise FileNotFoundError(
-                    f"fragment plan references vanished inputs: "
-                    f"{missing[:3]}{'...' if len(missing) > 3 else ''}")
-        else:
-            if plan_path and ckpt.completed_fragments(out_root):
-                # Manifests without a plan = a checkpoint produced by a
-                # different fragmentation scheme (pre-plan doc-id-hash
-                # runs). Mapping those fragment ids onto file groups
-                # would silently skip/duplicate documents on resume.
-                raise RuntimeError(
-                    f"checkpoint at {out_root} has committed fragments but "
-                    f"no _plan.json — it was produced under a different "
-                    f"fragmentation scheme; use a fresh out_root")
-            nfrag = min(num_fragments, len(files))
-            groups = _lpt_groups(files, nfrag)
-            if plan_path:
-                os.makedirs(out_root, exist_ok=True)
-                tmp = plan_path + f".tmp{os.getpid()}"
-                with open(tmp, "w") as f:
-                    json.dump({"mode": "file_groups", "groups": groups}, f)
-                os.replace(tmp, plan_path)
-
-        def reader(frag: int) -> rd.Dataset:
-            configure_data_context()
-            return rd.read_parquet(groups[frag],
-                                   schema=parquet_schema(groups[frag][0]))
-
-        return nfrag, reader
-
-    if plan_path and os.path.exists(plan_path):
-        with open(plan_path) as f:
-            plan = json.load(f)
-        if plan.get("mode") != "doc_hash" or \
-                plan.get("num_fragments") != num_fragments:
-            raise RuntimeError(
-                f"checkpoint at {out_root} was planned as "
-                f"{plan.get('mode')!r}/{plan.get('num_fragments')} but this "
-                f"run would fragment by doc_hash/{num_fragments}; use a "
-                f"fresh out_root or the original settings")
-    elif plan_path:
-        if ckpt.completed_fragments(out_root):
-            raise RuntimeError(
-                f"checkpoint at {out_root} has committed fragments but no "
-                f"_plan.json — it predates plan pinning; use a fresh "
-                f"out_root")
-        os.makedirs(out_root, exist_ok=True)
-        tmp = plan_path + f".tmp{os.getpid()}"
-        with open(tmp, "w") as f:
-            json.dump({"mode": "doc_hash", "num_fragments": num_fragments},
-                      f)
-        os.replace(tmp, plan_path)
-
-    def reader(frag: int) -> rd.Dataset:
-        return read_docs(docs_path).map_batches(
-            _doc_fragment_filter(num_fragments, frag),
-            batch_format="pyarrow")
-
-    return num_fragments, reader
+def _ocr_counters(_frag: int, t: pa.Table) -> dict:
+    return {"docs": t.num_rows,
+            **{k: int(pc.sum(t[c]).as_py() or 0)
+               for k, c in _OCR_COUNTERS.items()}}
 
 
 def run_ocr_with_checkpoint(
@@ -415,74 +284,18 @@ def run_ocr_with_checkpoint(
     out_root: str,
     num_fragments: int = 4,
     model_path: str | None = None,
-    **pipeline_kw,
 ) -> dict:
-    """Resumable run: partition docs into fragments (per input FILE
-    GROUP when the input is a multi-file directory — each file read
-    once across the whole job — else doc-id-hash filters, see
-    fragment_plan); for each fragment without a manifest, run the
-    pipeline, write parquet, then commit the manifest (lineage +
-    counters) atomically. A killed run reprocesses at most the one
-    in-flight fragment (state/checkpoint.py)."""
-    os.makedirs(out_root, exist_ok=True)
+    """Resumable run: docs split into the fragments of
+    ``checkpoint.fragment_plan`` (input FILE GROUPS for a multi-file
+    directory — each file read once across the whole job — else doc-id
+    hash filters), and ``checkpoint.run_fragments`` runs
+    ``ocr_pipeline`` on each fragment without a manifest, writes its
+    parquet and commits the manifest (lineage + counters). A killed run
+    reprocesses at most the one in-flight fragment."""
     media_ref = put_media_store(media_path)
-    num_fragments, frag_reader = fragment_plan(docs_path, num_fragments,
-                                               out_root=out_root)
-    pending = ckpt.pending_fragments(out_root, num_fragments)
-    for frag in pending:
-        frag_t0 = time.time()
-        docs = frag_reader(frag)
-        out = ocr_pipeline(docs, media_ref, model_path=model_path, **pipeline_kw)
-        frag_dir = ckpt.fragment_dir(out_root, frag)
-        tmp_dir = frag_dir + ".tmp"
-        # a run killed mid-write leaves partial part files in .tmp; Ray's
-        # write_parquet appends by default, so clear before retrying or the
-        # committed fragment would carry duplicate rows
-        import shutil
-
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        result = out.materialize()
-        result.write_parquet(tmp_dir)
-        # a fragment with zero docs writes no files at all — commit an
-        # empty directory so the manifest/rename contract still holds
-        os.makedirs(tmp_dir, exist_ok=True)
-        if os.path.exists(frag_dir):
-            shutil.rmtree(frag_dir)
-        os.replace(tmp_dir, frag_dir)
-        parts_files = [f for f in os.listdir(frag_dir)
-                       if f.endswith(".parquet")]
-        tbl = (pa.concat_tables([pq.read_table(os.path.join(frag_dir, f))
-                                 for f in parts_files])
-               if parts_files else None)
-        if tbl is None:
-            counters = {"docs": 0, "pages": 0, "lines_segmented": 0,
-                        "skipped_pages": 0, "chars_decoded": 0,
-                        "low_confidence_lines": 0}
-            wall = time.time() - frag_t0
-            ckpt.commit_fragment(out_root, frag, counters, metrics={
-                "wall_sec": round(wall, 3), "pages_per_sec": None})
-            continue
-        counters = {
-            "docs": tbl.num_rows,
-            "pages": int(pa.compute.sum(tbl.column("n_pages")).as_py() or 0),
-            "lines_segmented": int(pa.compute.sum(tbl.column("n_lines")).as_py() or 0),
-            "skipped_pages": int(
-                pa.compute.sum(tbl.column("n_skipped_pages")).as_py() or 0
-            ),
-            "chars_decoded": int(
-                pa.compute.sum(tbl.column("chars_decoded")).as_py() or 0
-            ),
-            "low_confidence_lines": int(
-                pa.compute.sum(tbl.column("low_confidence_lines")).as_py() or 0
-            ),
-        }
-        wall = time.time() - frag_t0
-        ckpt.commit_fragment(out_root, frag, counters, metrics={
-            "wall_sec": round(wall, 3),
-            "pages_per_sec": round(counters["pages"] / wall, 3)
-            if wall > 0 else None,
-        })
-    return {
-        "fragments_run": pending,
-        "counters": ckpt.aggregate_counters(out_root),
-    }
+    nfrag, reader = ckpt.fragment_plan(docs_path, num_fragments, out_root)
+    return ckpt.run_fragments(
+        out_root, nfrag,
+        lambda frag: ocr_pipeline(reader(frag), media_ref,
+                                  model_path=model_path),
+        _ocr_counters, columns=tuple(_OCR_COUNTERS.values()))

@@ -1035,6 +1035,8 @@ def compact_parquet(in_dir: str, out_dir: str,
     import json
     import os
 
+    from ..state.checkpoint import write_json_atomic
+
     manifest_path = os.path.join(out_dir, "_compaction.json")
     if os.path.exists(manifest_path):
         with open(manifest_path) as f:
@@ -1062,12 +1064,9 @@ def compact_parquet(in_dir: str, out_dir: str,
                 "over a different input set or target size; remove "
                 f"{out_dir} or compact to a fresh directory")
     else:
-        tmp = plan_path + f".tmp.{os.getpid()}"
-        with open(tmp, "w") as f:
-            json.dump({"plan_key": plan_key, "in_dir": in_dir,
-                       "target_bytes": int(target_bytes),
-                       "groups": groups}, f)
-        os.replace(tmp, plan_path)
+        write_json_atomic(plan_path, {"plan_key": plan_key, "in_dir": in_dir,
+                                      "target_bytes": int(target_bytes),
+                                      "groups": groups})
 
     outs = [os.path.join(out_dir, f"part-{i:05d}.parquet")
             for i in range(len(groups))]
@@ -1095,10 +1094,7 @@ def compact_parquet(in_dir: str, out_dir: str,
         "target_bytes": int(target_bytes),
         "groups": per_group,
     }
-    tmp = manifest_path + f".tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
-        json.dump(manifest, f)
-    os.replace(tmp, manifest_path)
+    write_json_atomic(manifest_path, manifest)
     return manifest
 
 
@@ -1235,6 +1231,8 @@ def purge_rows(in_dir: str, out_dir: str, key_col: str,
 
     import ray
 
+    from ..state.checkpoint import write_json_atomic
+
     manifest_path = os.path.join(out_dir, "_purge.json")
     if os.path.exists(manifest_path):
         with open(manifest_path) as f:
@@ -1259,11 +1257,9 @@ def purge_rows(in_dir: str, out_dir: str, key_col: str,
                     "over a different input or key set; purge to a "
                     "fresh directory")
     else:
-        tmp = plan_path + f".tmp.{os.getpid()}"
-        with open(tmp, "w") as f:
-            json.dump({"plan_key": plan_key, "in_dir": in_dir,
-                       "key_col": key_col, "n_keys": len(key_list)}, f)
-        os.replace(tmp, plan_path)
+        write_json_atomic(plan_path, {"plan_key": plan_key, "in_dir": in_dir,
+                                      "key_col": key_col,
+                                      "n_keys": len(key_list)})
 
     keys_ref = ray.put(np.asarray(key_list, dtype=np.int64))
 
@@ -1309,8 +1305,5 @@ def purge_rows(in_dir: str, out_dir: str, key_col: str,
                 "rows_removed": int(sum(f["rows_removed"]
                                         for f in per_file)),
                 "files": per_file}
-    tmp = manifest_path + f".tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
-        json.dump(manifest, f)
-    os.replace(tmp, manifest_path)
+    write_json_atomic(manifest_path, manifest)
     return manifest

@@ -35,6 +35,8 @@ from ..functions import warcx
 from .webgen import wrap_html
 
 _URI_PREFIX = "https://example.org/doc/"
+# Records per extraction batch of the checkpointed WARC job.
+WARC_BATCH_SIZE = 64
 
 
 def doc_uri(doc_id: int) -> str:
@@ -229,53 +231,37 @@ def read_warc(paths: list[str] | str) -> rd.Dataset:
     return files.map_batches(parse, batch_format="pyarrow", batch_size=1)
 
 
+def _warc_counters(_frag: int, t: pa.Table) -> dict:
+    import pyarrow.compute as pc
+
+    # an empty fragment's column is null-typed: cast before measuring
+    lens = pc.utf8_length(t["main_text"].cast(pa.string()))
+    return {"records": t.num_rows,
+            "chars_extracted": int(pc.sum(lens).as_py() or 0),
+            "empty_docs": int(pc.sum(pc.equal(lens, 0)).as_py() or 0)}
+
+
 def run_warc_extract_with_checkpoint(
     shard_paths: list[str],
     out_root: str,
     num_fragments: int = 4,
-    batch_size: int = 64,
 ) -> dict:
     """Resumable WARC-shard extraction (the north-rule checkpoint
     contract on the crawl input shape): shards are pinned into
-    ``num_fragments`` FILE GROUPS on the first run (``_plan.json``,
-    mode-guarded like ocr.fragment_plan), each pending fragment reads
-    only its shards, extracts main text per record, writes parquet to
-    ``<frag>.tmp`` and commits a lineage+counter manifest atomically
-    (records / extracted chars / empty docs, plus wall + throughput
-    metrics).  A killed run reprocesses at most one in-flight fragment;
-    every shard file is read exactly once per completed job."""
-    import json
-    import shutil
-    import time
-
-    import pyarrow.parquet as pq
-
+    ``num_fragments`` size-balanced FILE GROUPS on the first run
+    (``checkpoint.pin_plan`` mode ``warc_shards``, guarded like every
+    other plan), and ``checkpoint.run_fragments`` has each pending
+    fragment read only its shards, extract main text per record, and
+    commit a lineage+counter manifest (records / extracted chars /
+    empty docs, plus wall, throughput and shard-count metrics). A
+    killed run reprocesses at most one in-flight fragment; every shard
+    file is read exactly once per completed job."""
     from ..functions.charsetx import decode_html
     from ..functions.htmlx import extract_main_text
     from ..state import checkpoint as ckpt
 
-    os.makedirs(out_root, exist_ok=True)
-    plan_path = os.path.join(out_root, "_plan.json")
-    if os.path.exists(plan_path):
-        with open(plan_path) as f:
-            plan = json.load(f)
-        if plan.get("mode") != "warc_shards":
-            raise RuntimeError(
-                f"checkpoint at {out_root} was fragmented by "
-                f"{plan.get('mode')!r}, not WARC shard groups — use a "
-                f"fresh out_root")
-        groups = plan["groups"]
-    else:
-        from ..pipelines.ocr import _lpt_groups
-
-        shards = sorted(shard_paths)
-        nfrag = max(1, min(num_fragments, len(shards)))
-        # size-aware LPT grouping: shard sizes skew (content-routed),
-        # and round-robin can hand one fragment most of the bytes
-        groups = _lpt_groups(shards, nfrag)
-        with open(plan_path + ".tmp", "w") as f:
-            json.dump({"mode": "warc_shards", "groups": groups}, f)
-        os.replace(plan_path + ".tmp", plan_path)
+    groups = ckpt.pin_plan(out_root, "warc_shards", num_fragments,
+                           sorted(shard_paths))["groups"]
 
     def extract(b: pa.Table) -> pa.Table:
         uris = b.column("uri").to_pylist()
@@ -292,42 +278,9 @@ def run_warc_extract_with_checkpoint(
             "main_text": pa.array(texts, pa.string()),
         })
 
-    pending = ckpt.pending_fragments(out_root, len(groups))
-    for frag in pending:
-        t0 = time.time()
-        out = read_warc(groups[frag]).map_batches(
-            extract, batch_format="pyarrow", batch_size=batch_size)
-        frag_dir = ckpt.fragment_dir(out_root, frag)
-        tmp_dir = frag_dir + ".tmp"
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        out.write_parquet(tmp_dir)
-        if os.path.exists(frag_dir):
-            shutil.rmtree(frag_dir)
-        os.replace(tmp_dir, frag_dir)
-        n_records = n_chars = n_empty = 0
-        for f in os.listdir(frag_dir):
-            if f.endswith(".parquet"):
-                t = pq.read_table(os.path.join(frag_dir, f),
-                                  columns=["main_text"])
-                n_records += t.num_rows
-                import pyarrow.compute as pc
-
-                lens = pc.utf8_length(t.column("main_text"))
-                n_chars += int(pc.sum(lens).as_py() or 0)
-                n_empty += int(pc.sum(
-                    pc.cast(pc.equal(lens, 0), pa.int64())).as_py() or 0)
-        wall = time.time() - t0
-        ckpt.commit_fragment(out_root, frag, {
-            "records": n_records,
-            "chars_extracted": n_chars,
-            "empty_docs": n_empty,
-        }, metrics={
-            "wall_sec": round(wall, 3),
-            "records_per_sec": (round(n_records / wall, 3)
-                                if wall > 0 else None),
-            "shards": len(groups[frag]),
-        })
-    return {
-        "fragments_run": pending,
-        "counters": ckpt.aggregate_counters(out_root),
-    }
+    return ckpt.run_fragments(
+        out_root, len(groups),
+        lambda frag: read_warc(groups[frag]).map_batches(
+            extract, batch_format="pyarrow", batch_size=WARC_BATCH_SIZE),
+        _warc_counters, columns=("main_text",),
+        metrics=lambda frag: {"shards": len(groups[frag])})

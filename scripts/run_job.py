@@ -5,11 +5,13 @@
         python scripts/run_job.py --docs /data/docs.parquet \
         --media /data/media.parquet --out /data/ocr_out --fragments 64
 
-Runs the flagship OCR pipeline fragment-by-fragment with checkpoint/lineage
-manifests: a killed job rerun with the same --out resumes, skipping every
-fragment whose manifest exists (at most the one in-flight fragment is
-reprocessed). Counters (docs, pages, lines segmented, skipped pages, chars
-decoded, low-confidence lines) aggregate across manifests.
+Runs the flagship OCR pipeline (or, by --pipeline, the extraction, dedup
+or WARC job) fragment-by-fragment with checkpoint/lineage manifests, all
+through the one fragment loop of state/checkpoint.py: a killed job rerun
+with the same --out resumes, skipping every fragment whose manifest exists
+(at most the one in-flight fragment is reprocessed). Counters (for OCR:
+docs, pages, lines segmented, skipped pages, chars decoded, low-confidence
+lines) aggregate across manifests.
 """
 
 import argparse
@@ -27,9 +29,10 @@ def main() -> None:
                     default="ocr",
                     help="ocr = media OCR flagship; extract = html-span "
                          "main-content extraction (no media table needed); "
-                         "dedup = global exact dedup, resumable by "
-                         "content-hash slice; warc = crawl-shard main-text "
-                         "extraction (--docs is a glob of .warc.gz shards); "
+                         "dedup = global exact dedup in two corpus scans, "
+                         "resumable per fragment; warc = crawl-shard "
+                         "main-text extraction (--docs is a glob of "
+                         ".warc.gz shards); "
                          "compact = lakehouse OPTIMIZE (--docs is a parquet "
                          "directory, bin-packed into ~--target-bytes files)")
     ap.add_argument("--docs", required=True,
@@ -48,8 +51,6 @@ def main() -> None:
 
     if not ray.is_initialized():
         ray.init(address=os.environ.get("RAY_ADDRESS", "auto"))
-
-    from dup_ocropy_ray.pipelines.ocr import run_ocr_with_checkpoint
 
     if args.pipeline == "extract":
         from dup_ocropy_ray.pipelines.extract import run_extract_with_checkpoint
@@ -77,6 +78,8 @@ def main() -> None:
         result = compact_parquet(
             args.docs, args.out, target_bytes=args.target_bytes)
     else:
+        from dup_ocropy_ray.pipelines.ocr import run_ocr_with_checkpoint
+
         if not args.media:
             ap.error("--media is required for --pipeline ocr")
         result = run_ocr_with_checkpoint(

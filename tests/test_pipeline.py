@@ -170,7 +170,7 @@ def test_fragment_plan_mode_guards(tmp_path):
     counted as file-group fragments would skip/duplicate documents."""
     import pyarrow as pa
 
-    from dup_ocropy_ray.pipelines.ocr import fragment_plan
+    from dup_ocropy_ray.state.checkpoint import fragment_plan
     from dup_ocropy_ray.state import checkpoint as ckpt
 
     docs_dir = tmp_path / "docs"
@@ -966,7 +966,7 @@ def test_lpt_fragment_groups_balance_and_determinism(tmp_path):
     """Size-aware fragment planning: a skewed file set packs by LPT so
     no fragment carries more than ~(max_file + fair share); groups are
     deterministic and cover every file exactly once."""
-    from dup_ocropy_ray.pipelines.ocr import _lpt_groups
+    from dup_ocropy_ray.state.checkpoint import _lpt_groups
 
     sizes = [9000, 100, 100, 100, 4000, 4000, 200, 300]
     files = []
