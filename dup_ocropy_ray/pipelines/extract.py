@@ -533,8 +533,9 @@ def boilerplate_strip(
                              batch_size=65536), "sp", df_final)
 
     # site doc totals from the same exploded stream (one row per doc):
-    # bounded by site count here; at web scale flip distributed=True —
-    # it is the identical partial-combine exchange
+    # bounded by site count here; at web scale use
+    # relational.keyed_combine, the same partial-combine exchange
+    # returning a Dataset
     site_first = exploded.map_batches(
         lambda b: b[b["ord"] == 0][[site_col]],
         batch_format="pandas", batch_size=65536)

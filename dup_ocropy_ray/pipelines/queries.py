@@ -157,10 +157,10 @@ LIMIT 10
 
 def q_customers_no_orders(sf_dir: str) -> pd.DataFrame:
     """Customers with NO urgent (priority '1-URGENT') orders, counted
-    per nation — the native ``left_anti`` hash join (the keep/drop
-    complement to left_semi). The order side is filtered at the read and
-    pre-deduped to distinct customer keys per batch, so the anti-join
-    exchanges keys, not the orders table."""
+    per nation: an anti join on the fixed-bucket shuffle
+    (``relational.bucket_join`` how='anti'). The order side is filtered
+    at the read and pre-deduped to distinct customer keys per batch, so
+    the anti join exchanges keys, not the orders table."""
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
 
@@ -172,8 +172,8 @@ def q_customers_no_orders(sf_dir: str) -> pd.DataFrame:
 
     keys = orders.map_batches(distinct_urgent_keys, batch_format="pyarrow",
                               batch_size=262144)
-    anti = cust.join(keys, join_type="left_anti", num_partitions=8,
-                     on=("c_custkey",), right_on=("o_custkey",))
+    anti = relational.bucket_join(cust, keys, "c_custkey", "o_custkey",
+                                  how="anti")
     g = grouped_agg(anti, ["c_nationkey"])
     nation = _read_pd(sf_dir, "nation", ["n_nationkey", "n_name"])
     m = g.merge(nation, left_on="c_nationkey", right_on="n_nationkey")
@@ -2144,14 +2144,11 @@ FROM r GROUP BY shard ORDER BY shard
 # --------------------------------------------------------------------- eval
 
 
-def _paired_docs(sf_dir: str, native: bool = False) -> rd.Dataset:
+def _paired_docs(sf_dir: str) -> rd.Dataset:
     """Pair doc i with doc i+20 (same source by construction) — the
-    large✕large join path. Default impl is the fixed-bucket shuffle
-    join (``relational.bucket_join``: plain tasks, wall time flat in
-    long sessions); ``native=True`` exercises Ray Data's
-    ``Dataset.join`` hash join instead (aggregator actor pool) — the
-    two are asserted row-identical in tests. Output columns are
-    normalized to (doc_id_a, text_a, text_b) for both."""
+    large✕large join path, on the fixed-bucket shuffle join
+    (``relational.bucket_join``: plain tasks, wall time flat in long
+    sessions). Output columns are (doc_id_a, text_a, text_b)."""
     left = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def addkey(b: pa.Table) -> pa.Table:
@@ -2161,27 +2158,6 @@ def _paired_docs(sf_dir: str, native: bool = False) -> rd.Dataset:
 
     left = left.map_batches(addkey, batch_format="pyarrow")
     right = _read(sf_dir, "documents", ["doc_id", "text"])
-    if native:
-        joined = left.join(
-            right,
-            join_type="inner",
-            num_partitions=8,
-            on=("pair_key",),
-            right_on=("doc_id",),
-            left_suffix="_a",
-            right_suffix="_b",
-        )
-
-        def norm_native(b: pd.DataFrame) -> pd.DataFrame:
-            cols = set(b.columns)
-            return pd.DataFrame({
-                "doc_id_a": (b["doc_id_a"] if "doc_id_a" in cols
-                             else b["doc_id"]),
-                "text_a": b["text_a"] if "text_a" in cols else b["text"],
-                "text_b": b["text_b"],
-            })
-
-        return joined.map_batches(norm_native, batch_format="pandas")
     joined = relational.bucket_join(left, right, "pair_key", "doc_id")
 
     def norm(b: pd.DataFrame) -> pd.DataFrame:
@@ -2516,10 +2492,9 @@ GROUP BY o_orderpriority ORDER BY o_orderpriority
 def q_no_bigorder_custs(sf_dir: str) -> pd.DataFrame:
     """ANTI join on the fixed-bucket shuffle (bucket_join how='anti'):
     customers with NO order totalling >= $350k, counted per market
-    segment. Complements q_customers_no_orders (which exercises the
-    native left_anti hash join) on the no-actor-pool shuffle path —
-    and unlike that query's pre-deduped key side, anti mode tolerates
-    duplicate right keys directly."""
+    segment. Unlike q_customers_no_orders, whose key side is pre-deduped
+    per batch, the key side here keeps duplicate right keys, which anti
+    mode tolerates directly."""
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 

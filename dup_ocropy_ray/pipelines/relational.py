@@ -125,14 +125,14 @@ def grouped_agg(
     counts: bool = True,
     mins: Sequence[str] = (),
     maxs: Sequence[str] = (),
-    distributed: bool = False,
 ) -> pd.DataFrame:
     """Group-by aggregate with per-batch partial combine.
 
     Returns a pandas DataFrame with columns: keys + sum_<c> + n (+
     min_<c>/max_<c>). Caller derives averages etc. from sums and n.
-    Set distributed=True when key cardinality is unbounded (the final
-    combine then runs as a Ray groupby instead of on the driver).
+    The final combine runs on the driver, so key cardinality must be
+    bounded; for unbounded keys use ``keyed_combine``, which keeps the
+    result a Dataset.
     """
     keys = list(keys)
 
@@ -151,16 +151,6 @@ def grouped_agg(
         return g.agg(**agg_spec)
 
     partials = ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-    if distributed:
-        # unbounded key cardinality: hash-shuffle the partials
-        from ray.data.aggregate import Max, Min, Sum
-
-        aggs = [Sum(f"sum_{c}", alias_name=f"sum_{c}") for c in sums]
-        aggs += [Min(f"min_{c}", alias_name=f"min_{c}") for c in mins]
-        aggs += [Max(f"max_{c}", alias_name=f"max_{c}") for c in maxs]
-        if counts:
-            aggs.append(Sum("n", alias_name="n"))
-        return partials.groupby(keys).aggregate(*aggs).to_pandas()
     # bounded key cardinality (the common analytic case): the partial
     # output is <= distinct_keys x blocks rows — a tiny driver-side final
     # combine, the same mergeability argument as sketch aggregation. This

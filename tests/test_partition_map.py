@@ -199,3 +199,25 @@ def test_map_groups_ratchet():
         f"{n} .map_groups( calls under dup_ocropy_ray/ (ceiling "
         f"{MAP_GROUPS_CEILING}): use relational.partition_map")
     assert not banned, banned
+
+
+def test_no_ray_hash_join_or_groupby_aggregate():
+    """No Ray hash join and no Ray ``groupby().aggregate()``: both run
+    on aggregator actors (the join path hung the media resolution at 8
+    partitions). Keyed work goes through ``bucket_join``,
+    ``keyed_combine`` or ``partition_map``. The Acero join inside
+    ``bucket_join`` passes ``join_type=`` too, so relational.py may;
+    pyarrow's ``Table.group_by().aggregate`` does not match."""
+    agg_re = re.compile(r"\.groupby\([^)]*\)\s*\.aggregate\(")
+    banned = []
+    for root, _, files in os.walk(PKG):
+        for f in files:
+            if not f.endswith(".py"):
+                continue
+            path = os.path.join(root, f)
+            with open(path, encoding="utf-8") as fh:
+                src = fh.read()
+            banned += [f"{path}: {m}" for m in agg_re.findall(src)]
+            if f != "relational.py" and "join_type=" in src:
+                banned.append(f"{path}: join_type=")
+    assert not banned, banned

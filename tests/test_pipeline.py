@@ -562,23 +562,6 @@ def test_extract_then_ocr_matches_direct_ocr(ray_session, corpus):
         assert a == b, doc_id
 
 
-def test_bucket_join_matches_native_join(ray_session):
-    """The fixed-bucket shuffle join and Ray Data's native hash join
-    must be row-identical on the paired-docs workload (the native path
-    stays exercised here even though queries default to bucket)."""
-    from dup_ocropy_ray.pipelines.queries import _paired_docs
-
-    sf = "/root/testdata/sf0.001"
-    a = (_paired_docs(sf).to_pandas()
-         .sort_values("doc_id_a").reset_index(drop=True))
-    b = (_paired_docs(sf, native=True).to_pandas()
-         .sort_values("doc_id_a").reset_index(drop=True))
-    a = a[sorted(a.columns)]
-    b = b[sorted(b.columns)]
-    assert len(a) > 0
-    assert a.equals(b)
-
-
 def test_bucket_join_property_random_frames(ray_session):
     """bucket_join == pandas inner merge on randomized inputs: dup keys
     (m:n fan-out), string keys, missing keys on either side, colliding
